@@ -1,0 +1,4 @@
+"""Layer-ledger benchmark: five workloads measured end to end and per layer.
+
+See ``README.md`` in this directory; ``run.py`` is the single entry point.
+"""
