@@ -129,12 +129,14 @@ GATED_VARIANTS = ("deltanet", "deltanet-batched", "deltanet-nocheck",
 
 #: The headline acceptance ratio the baseline must demonstrate:
 #: batched Delta-net vs. the sequential per-op path, ops/sec.  The
-#: floor moved 3x -> 2x when the forwarding index landed: the
-#: sequential *denominator* got ~2.6x faster (a per-op check no longer
-#: rebuilds O(E) state), so the same batching win reads as a smaller
-#: ratio while every absolute throughput rose (docs/performance.md,
-#: "Why the batched-speedup floor moved").
-TARGET_BATCH_SPEEDUP = 2.0
+#: floor has moved twice, each time because the sequential
+#: *denominator* got faster while every absolute throughput rose
+#: (docs/performance.md, "Why the batched-speedup floor moved"):
+#: 3x -> 2x when the forwarding index landed (a per-op check no longer
+#: rebuilds O(E) state, ~2.6x), and 2x -> 1.2x when loop liveness moved
+#: to atom space (the session path no longer re-derives every reported
+#: cycle per commit, ~6x at 50k; measured ratio 1.3-1.8x).
+TARGET_BATCH_SPEEDUP = 1.2
 
 #: check_latency suite — per-update verify pipeline variants: apply one
 #: rule op, then loop-check its delta-graph with either the persistent

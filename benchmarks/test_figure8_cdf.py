@@ -5,14 +5,18 @@ log-x ASCII plot, the terminal analogue of the paper's Figure 8.
 
 Shape targets:
   * every CDF is monotone and reaches 1.0,
-  * the INET-style dataset is among the heaviest tails (the paper calls
-    INET "one of the more difficult ones for Delta-net").
+  * the tails follow update weight (delta edges per op), counted, not
+    timed: small everywhere, heaviest on the link-failure campaigns,
+  * checking costs a bounded factor over the bare update path.
 """
 
 from repro.analysis.cdf import ascii_cdf, cdf_points
 from repro.analysis.stats import percentile
+from repro.api import VerificationSession
 
-from benchmarks.common import DATASET_NAMES, deltanet_replay, print_report
+from benchmarks.common import (
+    DATASET_NAMES, dataset, deltanet_replay, print_report,
+)
 
 
 def _series():
@@ -29,24 +33,50 @@ def test_figure8_ascii_cdf():
         assert fractions[-1] == 1.0
 
 
-def test_update_work_sets_the_tail():
-    """Figure 8 shape, post forwarding-index: tails track update weight.
+def _update_weight(name):
+    """Delta edges — ``(link, atom)`` labels added or removed — per op."""
+    session = VerificationSession("deltanet")
+    weights = []
+    for op in dataset(name).ops:
+        delta = session.apply(op).delta
+        weights.append(sum(map(len, delta.added.values()))
+                       + sum(map(len, delta.removed.values())))
+    return weights
 
-    The seed asserted INET among the heaviest tails — true while every
-    loop check rebuilt an O(E) out-link view, because INET has the most
-    links.  The persistent forwarding index removed that per-check
-    rebuild, so a dataset's tail is now set by its *update* work (atoms
-    touched per op): Berkeley, whose wide rules own the most atoms per
-    update, carries the heaviest CDF tail by a wide margin.
+
+def test_update_work_sets_the_tail():
+    """Figure 8 shape as a count: a CDF's tail is its update weight.
+
+    What an op costs beyond the constant is the delta it produces: every
+    added ``(link, atom)`` edge is one chase, every removed one a label
+    edit.  So the shape is asserted on that deterministic count, read
+    from ``result.delta``, instead of on eight timing distributions:
+    the CDFs are steep because the typical op changes one or two edges
+    on every dataset, and the heaviest tails belong to the Airtel
+    link-failure campaigns, whose re-routes move the most atoms per op.
+
+    Earlier forms of this test ranked p90 latencies and tracked whatever
+    tax the check path carried at the time: INET while every check
+    rebuilt an O(E) out-link view, then Berkeley "by a wide margin"
+    (469 us against 45-126 us) while ``LoopProperty`` re-derived the
+    liveness of every reported cycle through the updated switch in
+    interval space.  With liveness decided in atom space all eight p90s
+    sit within 2x of each other and a timing rank is noise; by count
+    Berkeley is mid-pack (1.1 edges per op), not the leader.
     """
-    series = _series()
-    p90 = {name: percentile(samples, 90) for name, samples in series.items()}
-    ranked = sorted(p90, key=p90.get, reverse=True)
-    # Slack on purpose (top-2, not argmax): an exact argmax over eight
-    # timing distributions would be knife-edge on noisy runners.
-    assert "Berkeley" in ranked[:2], (
-        f"expected update-heavy Berkeley among the heaviest tails, "
-        f"got {ranked} ({p90})")
+    weights = {name: _update_weight(name) for name in DATASET_NAMES}
+    for name, per_op in weights.items():
+        assert percentile(per_op, 50) <= 2, (
+            f"{name}: the median op changes {percentile(per_op, 50)} "
+            f"delta edges — updates are no longer small")
+        assert percentile(per_op, 99) <= 16, (
+            f"{name}: p99 of {percentile(per_op, 99)} delta edges per op")
+    mean = {name: sum(per_op) / len(per_op)
+            for name, per_op in weights.items()}
+    ranked = sorted(mean, key=mean.get, reverse=True)
+    assert set(ranked[:2]) == {"Airtel1", "Airtel2"}, (
+        f"expected the link-failure campaigns to carry the heaviest "
+        f"updates, got {ranked} ({mean})")
 
 
 def test_checking_tax_is_bounded():

@@ -27,6 +27,9 @@ from repro.api.registry import (
     BackendAdapter, BackendBatch, BackendUpdate, Cycle, Spans,
     canonical_cycle, register_backend,
 )
+from repro.checkers.loops import (
+    LoopChecker, cycle_alive, find_forwarding_loops,
+)
 from repro.core.delta_graph import DeltaGraph
 from repro.core.rules import DROP, Link, Rule
 
@@ -105,7 +108,12 @@ class DeltaNetBackend(BackendAdapter):
         super().__init__(width=width)
         from repro.core.deltanet import DeltaNet
 
-        self.native = DeltaNet(width=width, gc=gc, seed=seed)
+        self._adopt(DeltaNet(width=width, gc=gc, seed=seed))
+
+    def _adopt(self, native) -> None:
+        """Bind the adapter (and its one loop checker) to ``native``."""
+        self.native = native
+        self._checker = LoopChecker(native)
 
     def _do_insert(self, rule: Rule) -> BackendUpdate:
         delta = self.native.insert_rule(rule)
@@ -142,8 +150,6 @@ class DeltaNetBackend(BackendAdapter):
         return impact.affected_intervals(self.native)
 
     def find_loops(self) -> List[Cycle]:
-        from repro.checkers.loops import find_forwarding_loops
-
         seen: Dict[Cycle, None] = {}
         for loop in find_forwarding_loops(self.native):
             seen.setdefault(canonical_cycle(loop.cycle))
@@ -160,7 +166,7 @@ class DeltaNetBackend(BackendAdapter):
 
         child = DeltaNetBackend.__new__(DeltaNetBackend)
         BackendAdapter.__init__(child, width=self.width)
-        child.native = SpeculativeDeltaNet.from_parent(self.native)
+        child._adopt(SpeculativeDeltaNet.from_parent(self.native))
         child._rules = dict(self._rules)
         return child
 
@@ -171,12 +177,16 @@ class DeltaNetBackend(BackendAdapter):
             # No label changed — no new loop can exist; skip even the
             # (cheap) incremental chase.
             return []
-        from repro.checkers.loops import LoopChecker
-
+        # The checker's loops are already canonical; only the per-atom
+        # duplicates of one cycle are folded here.
         seen: Dict[Cycle, None] = {}
-        for loop in LoopChecker(self.native).check_update(delta):
-            seen.setdefault(canonical_cycle(loop.cycle))
+        for loop in self._checker.check_update(delta):
+            seen.setdefault(loop.cycle)
         return list(seen)
+
+    def cycle_alive(self, cycle: Cycle) -> bool:
+        """Atom-space liveness: intersect the live label runs."""
+        return cycle_alive(self.native.findex, cycle)
 
     def check_invariants(self) -> None:
         self.native.check_invariants()
@@ -196,7 +206,7 @@ class DeltaNetBackend(BackendAdapter):
             raise ValueError("restore_state requires a fresh backend")
         from repro.core.deltanet import DeltaNet
 
-        self.native = DeltaNet.from_state(state["native"])
+        self._adopt(DeltaNet.from_state(state["native"]))
         self._rules = dict(self.native.rules)
 
     def stats(self):
@@ -277,6 +287,12 @@ class ShardedBackend(BackendAdapter):
         for loop in self.native.find_loops():
             seen.setdefault(canonical_cycle(loop.cycle))
         return list(seen)
+
+    def cycle_alive(self, cycle: Cycle) -> bool:
+        """Atom-space liveness: alive in any shard (the slices
+        partition the header space, so a packet loops in exactly one)."""
+        return any(cycle_alive(net.findex, cycle)
+                   for net in self.native.nets)
 
     def run_query(self, query):
         from repro.query.planner import evaluate_sharded

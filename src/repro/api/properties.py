@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
-    runtime_checkable,
+    Any, Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple,
+    Union, runtime_checkable,
 )
 
 from repro.api.registry import BackendAdapter, BackendUpdate, Spans
 from repro.core.delta_graph import DeltaGraph
 from repro.core.intervals import IntervalSet
-from repro.core.rules import DROP, Link
+from repro.core.rules import DROP, Link, cycle_links
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,26 @@ class LoopProperty:
 
     The property manages its own alert dedup: each distinct cycle is
     delivered when it appears, and again whenever it is re-introduced
-    after having been broken.  Liveness of previously-reported cycles is
-    re-checked by intersecting the flows around the cycle — exact for
-    functional forwarding, and only a handful of ``flows_on`` lookups
-    per reported loop.  (Plain signature dedup cannot do this: the
-    incremental backends report a loop only on the update that creates
-    it, so its later absence from a check means nothing.)
+    after having been broken.  (Plain signature dedup cannot do this:
+    the incremental backends report a loop only on the update that
+    creates it, so its later absence from a check means nothing.)
+
+    Liveness of the reported cycles is delta-driven.  A reported cycle
+    can only have died if one of its links *lost* flow, so a commit's
+    suspects are the cycles on a link named in ``removed`` of its
+    delta-graphs, found through an index of the reported cycles by
+    directed link; a commit that removes no flow from any such link
+    evaluates nothing.  ``added`` entries only widen a link's flow, and
+    splits and garbage-collected atoms rename packet classes without
+    moving a packet, so none of them can break a loop.  Only the
+    suspects are put to :meth:`BackendAdapter.cycle_alive
+    <repro.api.registry.BackendAdapter.cycle_alive>` — a few run merges
+    in atom space on the Delta-net backends, ``flows_on`` intersections
+    elsewhere (``docs/performance.md``, "Session vs core", has what
+    re-deriving every cycle through the updated switch in interval
+    space used to cost).  Backends that deliver no delta-graph fall
+    back to "every cycle through an updated switch", served from the
+    same index.
     """
 
     name = "loops"
@@ -140,6 +154,9 @@ class LoopProperty:
 
     def __init__(self) -> None:
         self._reported: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
+        #: ``source -> target -> signatures`` of the reported cycles
+        #: running over that directed link (derived from ``_reported``).
+        self._on_link: Dict[object, Dict[object, Set[Tuple[object, ...]]]] = {}
 
     def spec(self) -> dict:
         return {}
@@ -151,20 +168,51 @@ class LoopProperty:
              for signature, cycle in self._reported.items()), key=repr)}
 
     def load_state_dict(self, state: dict) -> None:
-        self._reported = {tuple(signature): tuple(cycle)
-                          for signature, cycle in state["reported"]}
+        self._reported = {}
+        self._on_link = {}
+        for signature, cycle in state["reported"]:
+            self._report(tuple(signature), tuple(cycle))
 
-    @staticmethod
-    def _cycle_alive(backend: BackendAdapter, cycle) -> bool:
-        """Does any packet still survive one full turn of ``cycle``?"""
-        flow: Optional[IntervalSet] = None
-        for index, node in enumerate(cycle):
-            successor = cycle[(index + 1) % len(cycle)]
-            spans = IntervalSet(backend.flows_on((node, successor)))
-            flow = spans if flow is None else flow & spans
-            if not flow:
-                return False
-        return True
+    def _report(self, signature, cycle) -> None:
+        self._reported[signature] = cycle
+        for source, target in cycle_links(cycle):
+            self._on_link.setdefault(source, {}).setdefault(
+                target, set()).add(signature)
+
+    def _forget(self, signature) -> None:
+        for source, target in cycle_links(self._reported.pop(signature)):
+            targets = self._on_link[source]
+            targets[target].discard(signature)
+            if not targets[target]:
+                del targets[target]
+                if not targets:
+                    del self._on_link[source]
+
+    def _suspects(self, commit: Commit) -> Set[Tuple[object, ...]]:
+        """Reported cycles ``commit`` may have broken."""
+        suspects: Set[Tuple[object, ...]] = set()
+        if commit.delta is None:
+            # No delta-graph: a node's forwarding only changes on an
+            # update installed at that node.
+            for update in commit.updates:
+                if update.rule is not None:
+                    suspects.update(*self._on_link.get(
+                        update.rule.source, {}).values())
+            return suspects
+        # Per-op deltas and apply_batch's aggregate are exact.  A
+        # session.batch() aggregate is merged by hand and may cancel a
+        # removal against a later add of a re-split or recycled atom
+        # id, so the per-op deltas it was merged from are read as well.
+        deltas = [commit.delta]
+        deltas += [update.delta for update in commit.updates
+                   if update.delta is not None
+                   and update.delta is not commit.delta]
+        for delta in deltas:
+            for source, target in delta.removed:
+                on_link = self._on_link.get(source)
+                if on_link:
+                    suspects.update(on_link.get(target, ()))
+        return suspects
 
     def check(self, backend: BackendAdapter,
               commit: Optional[Commit]) -> Iterable[Violation]:
@@ -172,27 +220,18 @@ class LoopProperty:
             cycles = backend.find_loops()
         else:
             # Forget cycles that no longer carry traffic, so a later
-            # re-introduction is reported again.  A node's forwarding
-            # only changes on an update installed at that node, so only
-            # cycles through an updated switch need their liveness
-            # re-checked — everything else is guaranteed still looping.
+            # re-introduction is reported again.
             if self._reported:
-                updated_nodes = {update.rule.source
-                                 for update in commit.updates
-                                 if update.rule is not None}
-                if commit.delta is not None:
-                    updated_nodes |= commit.delta.affected_sources()
-                for signature, cycle in list(self._reported.items()):
-                    if (updated_nodes.intersection(cycle)
-                            and not self._cycle_alive(backend, cycle)):
-                        del self._reported[signature]
+                for signature in self._suspects(commit):
+                    if not backend.cycle_alive(self._reported[signature]):
+                        self._forget(signature)
             cycles = backend.loops_for_commit(commit.updates, commit.delta)
         for cycle in cycles:
             signature = ("loop", cycle)
             if commit is not None:
                 if signature in self._reported:
                     continue
-                self._reported[signature] = cycle
+                self._report(signature, cycle)
             yield Violation(
                 self.name, signature,
                 "forwarding loop " + " -> ".join(map(str, cycle)) +

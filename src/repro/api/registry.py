@@ -40,9 +40,11 @@ from typing import (
 )
 
 from repro.core.delta_graph import DeltaGraph
+from repro.core.intervals import IntervalSet
 from repro.core.prefix import prefix_to_interval
 from repro.core.rules import (
-    Action, DROP, Link, Rule, canonical_rotation, validate_batch_ops,
+    Action, DROP, Link, Rule, canonical_rotation, cycle_links,
+    validate_batch_ops,
 )
 
 #: A forwarding cycle as a canonical tuple of graph nodes.
@@ -271,8 +273,6 @@ class BackendAdapter(abc.ABC):
         — per node, the arriving packet space minus the outgoing (or
         explicitly dropped) packet space.
         """
-        from repro.core.intervals import IntervalSet
-
         incoming: Dict[object, IntervalSet] = {}
         outgoing: Dict[object, IntervalSet] = {}
         for link in self.links():
@@ -333,16 +333,42 @@ class BackendAdapter(abc.ABC):
         whose delta-graph is *empty* changed no label, so no new loop
         can exist — it short-circuits to nothing instead of paying a
         sweep for a no-op.
+
+        A batch is checked as of its commit: a loop one operation
+        closed and a later operation of the same batch broke again is
+        not reported (the delta-graph backends never see it either —
+        they chase the aggregate on the committed state).
         """
         if updates and all(u.loops is not None for u in updates):
             seen: Dict[Cycle, None] = {}
             for update in updates:
                 for cycle in update.loops:
                     seen.setdefault(cycle)
+            if len(updates) > 1:
+                return [cycle for cycle in seen if self.cycle_alive(cycle)]
             return list(seen)
         if delta is not None and delta.is_empty():
             return []
         return self.find_loops()
+
+    def cycle_alive(self, cycle: Cycle) -> bool:
+        """Whether any packet still survives one full turn of ``cycle``.
+
+        :class:`~repro.api.properties.LoopProperty` asks this of an
+        already-reported loop after a commit that may have broken it.
+        Default: intersect the ``flows_on`` spans around the cycle in
+        interval space, stopping at the first empty result — exact for
+        functional forwarding on every backend.  The Delta-net backends
+        override it to intersect their live label runs in atom space
+        (:func:`repro.checkers.loops.cycle_alive`), converting nothing.
+        """
+        flow: Optional[IntervalSet] = None
+        for link in cycle_links(cycle):
+            spans = IntervalSet(self.flows_on(link))
+            flow = spans if flow is None else flow & spans
+            if not flow:
+                return False
+        return True
 
     # -- persistence (see repro.persist) ---------------------------------------
 

@@ -37,7 +37,14 @@ behaves as an alert stream delivering each distinct violation when it
 becomes observable.  State-based properties (blackholes, reachability,
 waypoint, isolation) re-arm once the violation clears, so breaking the
 same invariant again alerts again; ``LoopProperty`` tracks cycle
-liveness itself for the same effect.
+liveness itself for the same effect, and does so from the commit's
+delta-graphs: only a reported cycle with a link in ``removed`` — a link
+that lost flow — is re-evaluated (``backend.cycle_alive``), because
+added flow, atom splits and garbage-collected atoms take no packet off
+a link and so cannot break a loop.  That is also why a single op's
+delta-graph is handed to the properties as is, while a
+``session.batch()`` aggregate rides along with the per-op graphs it was
+merged from (a merged removal can cancel against a later add).
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from typing import (
 from repro.api.properties import Commit, Property, Violation
 from repro.api.registry import (
     BackendAdapter, BackendBatch, BackendUpdate, Cycle, Spans,
-    available_backends, create_backend,
+    _merge_update_deltas, available_backends, create_backend,
 )
 from repro.core.delta_graph import DeltaGraph
 from repro.core.rules import Action, Link, Rule
@@ -506,8 +513,10 @@ class VerificationSession:
 
     @staticmethod
     def _merge_deltas(updates: List[BackendUpdate]) -> Optional[DeltaGraph]:
-        from repro.api.registry import _merge_update_deltas
-
+        if len(updates) == 1:
+            # A lone update's delta-graph is the commit's: hand it
+            # through instead of re-recording it edge by edge.
+            return updates[0].delta
         return _merge_update_deltas(updates)
 
     def _commit(self, updates: List[BackendUpdate], ops: List[OpRecord],

@@ -22,16 +22,23 @@ Two entry points:
   labels; we chase from exactly those.
 * :func:`find_forwarding_loops` — full sweep over every atom in every
   label (used for whole-data-plane what-if analysis).
+
+:func:`cycle_alive` answers the converse question for a loop already
+found — does any atom still flow around it — by intersecting the label
+runs of its links.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.delta_graph import DeltaGraph
 from repro.core.deltanet import DeltaNet
-from repro.core.findex import NextHop
-from repro.core.rules import DROP, Link, canonical_rotation
+from repro.core.findex import ForwardingIndex, NextHop
+from repro.core.rules import DROP, Link, canonical_rotation, cycle_links
+from repro.structures.atomruns import AtomRuns
 
 
 class Loop(NamedTuple):
@@ -59,6 +66,28 @@ def _chase(next_hop: NextHop, start: object, atom: int) -> Optional[Loop]:
         path.append(node)
         node = next_hop(node, atom)
     return None
+
+
+def cycle_alive(findex: ForwardingIndex, cycle: Sequence[object]) -> bool:
+    """Does any atom still flow along every link of ``cycle``?
+
+    Liveness of an already-reported loop, decided in atom space: the
+    live label runs of the cycle's links are intersected one link at a
+    time — a few O(runs) merges — stopping at the first unlabelled link
+    or empty intersection.  No interval is materialized.
+    """
+    by_link = findex.by_link
+    flow: Optional[AtomRuns] = None
+    for link in cycle_links(cycle):
+        # by_link is keyed by Link, a NamedTuple: the plain pair hashes
+        # and compares equal, so no Link is built per lookup.
+        runs = by_link.get(link)
+        if runs is None:
+            return False
+        flow = runs if flow is None else flow.intersection(runs)
+        if not flow:
+            return False
+    return True
 
 
 class LoopChecker:

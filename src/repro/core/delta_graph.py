@@ -64,7 +64,29 @@ class DeltaGraph:
         self.removed.setdefault(link, set()).add(atom)
 
     def merge(self, other: "DeltaGraph") -> None:
-        """Aggregate another delta-graph into this one (in order)."""
+        """Aggregate another delta-graph into this one (in order).
+
+        The records already held are first brought to ``other``'s atom
+        granularity: a split's new atom inherits every label of the old
+        one, so whatever is pending for the old atom is pending for the
+        new one as well (otherwise an add recorded before the split
+        cancels against a removal after it and the half that kept
+        flowing is lost).  In GC mode the new atom's id may be a
+        recycled one; records still held under it describe a collected
+        atom and are dropped, so they cannot cancel against the new
+        atom's.  Without GC the aggregate is exact; with it, ``removed``
+        may lose such a dropped entry, which is why consumers that need
+        every link that lost flow also read the per-op delta-graphs.
+        """
+        for old_atom, new_atom in other.splits:
+            for buckets in (self.added, self.removed):
+                for link in list(buckets):
+                    atoms = buckets[link]
+                    atoms.discard(new_atom)
+                    if old_atom in atoms:
+                        atoms.add(new_atom)
+                    elif not atoms:
+                        del buckets[link]
         for link, atoms in other.added.items():
             for atom in atoms:
                 self.record_add(link, atom)

@@ -15,7 +15,9 @@ A rule (paper §3.2) carries:
 from __future__ import annotations
 
 import enum
-from typing import Container, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Container, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.prefix import format_prefix, interval_plen, is_prefix_interval
 
@@ -38,6 +40,12 @@ def canonical_rotation(nodes: Iterable[object]) -> Tuple[object, ...]:
     pivot = min(range(len(ordered)),
                 key=lambda i: (repr(ordered[i]), id(ordered[i])))
     return tuple(ordered[pivot:] + ordered[:pivot])
+
+
+def cycle_links(cycle: Sequence[object]) -> Iterator[Tuple[object, object]]:
+    """The directed ``(node, successor)`` links of a node cycle,
+    including the one that closes it."""
+    return zip(cycle, cycle[1:] + cycle[:1])
 
 
 def validate_batch_ops(inserts: Iterable["Rule"], removals: Iterable[int],

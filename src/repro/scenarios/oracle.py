@@ -12,7 +12,11 @@ re-armed when it leaves, so the oracle's per-op stream is what any
 correct backend's session must deliver.
 
 (For loops the session tracks cycle *liveness* incrementally instead of
-re-sweeping; for functional forwarding that is equivalent to the set
+re-sweeping: after a commit it re-evaluates only the reported cycles
+with a link in ``removed`` of the commit's delta-graphs — a loop can
+only break where a link lost flow; added flow, splits and GC'd atoms
+change no flow — and asks the backend in its own currency, atom runs on
+Delta-net.  For functional forwarding that is equivalent to the set
 difference of full sweeps, which is what the oracle computes — precisely
 the equivalence the differential fuzzer is there to enforce.)
 """

@@ -104,6 +104,23 @@ class TestBatch:
         assert txn.result.delta is not None
         assert txn.result.delta.is_empty()
 
+    def test_single_op_delta_is_the_backends_and_batches_merge_a_copy(self):
+        session = VerificationSession("deltanet", width=8)
+        twin = VerificationSession("deltanet", width=8).backend
+        first, *rest = ring()
+        delta, expected = session.insert(first).delta, twin.insert(first).delta
+        assert (delta.added, delta.removed, delta.splits) == (
+            expected.added, expected.removed, expected.splits)
+        with session.batch() as txn:
+            for rule in rest:
+                session.insert(rule)
+        merged = txn.result.delta
+        assert all(merged is not update.delta for update in txn.updates)
+        assert merged.added == {**txn.updates[0].delta.added,
+                                **txn.updates[1].delta.added}
+        assert VerificationSession("veriflow", width=8).insert(
+            first).delta is None
+
     def test_batches_do_not_nest(self):
         session = VerificationSession("deltanet", width=8)
         with session.batch():

@@ -51,6 +51,31 @@ class TestSplitsRecorded:
         assert first.splits == [(0, 1), (1, 2)]
         assert first.collected == [7]
 
+    def test_merge_carries_pending_records_across_a_split(self):
+        """An add recorded before a split still holds for the half the
+        later removal did not take; a sequential merge must equal the
+        batch's own final-granularity aggregate."""
+        rules = [Rule.forward(0, 0, 128, 1, "a", "b"),
+                 Rule.forward(1, 0, 64, 2, "a", "c")]
+        merged = DeltaNet(width=8).apply(rules)
+        batched = DeltaNet(width=8).apply_batch(rules)
+        assert merged.added == batched.added
+        assert merged.removed == batched.removed == {}
+        assert len(merged.added[Link("a", "b")]) == 1
+
+    def test_merge_drops_records_of_a_recycled_id(self):
+        """GC mode: the removal recorded for a collected atom must not
+        cancel the add of the unrelated atom that recycles its id."""
+        net = DeltaNet(width=8, gc=True)
+        net.insert_rule(Rule.forward(0, 0, 128, 1, "b", "a"))
+        net.insert_rule(Rule.forward(1, 64, 128, 1, "a", "b"))
+        removal = net.remove_rule(1)
+        insertion = net.insert_rule(Rule.forward(2, 192, 256, 1, "a", "b"))
+        recycled, = removal.removed[Link("a", "b")]
+        assert insertion.added[Link("a", "b")] == {recycled}
+        removal.merge(insertion)
+        assert removal.added == {Link("a", "b"): {recycled}}
+
     def test_touched_is_superset_of_affected(self):
         delta = DeltaGraph()
         delta.record_add(Link("a", "b"), 3)
