@@ -149,8 +149,10 @@ CHECK_VARIANTS = ("indexed", "sweep")
 CHECK_WINDOW = 1000
 
 #: The check_latency acceptance ratio: indexed vs sweep verify
-#: throughput at the largest measured size.
-TARGET_CHECK_SPEEDUP = 3.0
+#: throughput at the largest measured size.  Raised 3x -> 4x when the
+#: chase took its hops from the owner structure (measured 6.7-10x at
+#: 10k, 8-9x at 50k).
+TARGET_CHECK_SPEEDUP = 4.0
 
 #: warm_start suite — recovery-path variants: rebuild a session by
 #: replaying the stream from rule zero with per-op checking (``cold``,

@@ -28,10 +28,10 @@ from repro.api.registry import (
     canonical_cycle, register_backend,
 )
 from repro.checkers.loops import (
-    LoopChecker, cycle_alive, find_forwarding_loops,
+    LoopChecker, cycle_alive, distinct_cycles, find_forwarding_loops,
 )
 from repro.core.delta_graph import DeltaGraph
-from repro.core.rules import DROP, Link, Rule
+from repro.core.rules import DROP, Link, Rule, cycle_links
 
 
 def _as_link(link: Union[Link, Tuple[object, object]]) -> Link:
@@ -114,6 +114,10 @@ class DeltaNetBackend(BackendAdapter):
         """Bind the adapter (and its one loop checker) to ``native``."""
         self.native = native
         self._checker = LoopChecker(native)
+        #: ``cycle -> an atom found going round it``: a hint that lets
+        #: :meth:`cycle_alive` answer with one chase.  Never trusted —
+        #: a stale or recycled atom only sends it to the intersection.
+        self._witness: Dict[Cycle, int] = {}
 
     def _do_insert(self, rule: Rule) -> BackendUpdate:
         delta = self.native.insert_rule(rule)
@@ -150,10 +154,7 @@ class DeltaNetBackend(BackendAdapter):
         return impact.affected_intervals(self.native)
 
     def find_loops(self) -> List[Cycle]:
-        seen: Dict[Cycle, None] = {}
-        for loop in find_forwarding_loops(self.native):
-            seen.setdefault(canonical_cycle(loop.cycle))
-        return list(seen)
+        return distinct_cycles(find_forwarding_loops(self.native))
 
     def run_query(self, query):
         from repro.query.planner import evaluate_deltanet
@@ -177,16 +178,26 @@ class DeltaNetBackend(BackendAdapter):
             # No label changed — no new loop can exist; skip even the
             # (cheap) incremental chase.
             return []
-        # The checker's loops are already canonical; only the per-atom
-        # duplicates of one cycle are folded here.
-        seen: Dict[Cycle, None] = {}
-        for loop in self._checker.check_update(delta):
-            seen.setdefault(loop.cycle)
-        return list(seen)
+        # One entry per distinct cycle, in first-seen order.
+        found = {loop.cycle: loop.atom
+                 for loop in self._checker.check_update(delta)}
+        self._witness.update(found)
+        return list(found)
 
     def cycle_alive(self, cycle: Cycle) -> bool:
-        """Atom-space liveness: intersect the live label runs."""
-        return cycle_alive(self.native.findex, cycle)
+        """Atom-space liveness: the atom the loop was found for still
+        going round it proves the cycle alive in ``len(cycle)`` hops;
+        otherwise intersect the live label runs."""
+        atom = self._witness.get(cycle)
+        if atom is not None:
+            next_hop = self.native.next_hop
+            if all(next_hop(source, atom) == target
+                   for source, target in cycle_links(cycle)):
+                return True
+        alive = cycle_alive(self.native.findex, cycle)
+        if not alive:
+            self._witness.pop(cycle, None)
+        return alive
 
     def check_invariants(self) -> None:
         self.native.check_invariants()
@@ -240,10 +251,7 @@ class ShardedBackend(BackendAdapter):
         still fires."""
         if not self._check_loops:
             return None
-        seen: Dict[Cycle, None] = {}
-        for loop in self.native.check_update(deltas):
-            seen.setdefault(canonical_cycle(loop.cycle))
-        return list(seen)
+        return distinct_cycles(self.native.check_update(deltas))
 
     def _do_insert(self, rule: Rule) -> BackendUpdate:
         deltas = self.native.apply_insert(rule)
@@ -283,10 +291,7 @@ class ShardedBackend(BackendAdapter):
         return normalize(spans)
 
     def find_loops(self) -> List[Cycle]:
-        seen: Dict[Cycle, None] = {}
-        for loop in self.native.find_loops():
-            seen.setdefault(canonical_cycle(loop.cycle))
-        return list(seen)
+        return distinct_cycles(self.native.find_loops())
 
     def cycle_alive(self, cycle: Cycle) -> bool:
         """Atom-space liveness: alive in any shard (the slices

@@ -69,8 +69,7 @@ from repro.query.model import (
     FlowsOn, LinkDown, Loops, Query, QueryResult, Reachable,
 )
 
-#: Sentinel distinguishing "compute the delta" from an explicit ``None``.
-_UNSET = object()
+_clock = time.perf_counter
 
 
 @dataclass
@@ -158,7 +157,9 @@ class VerificationSession:
                 raise ValueError(
                     "backend options require a registry name, not an instance")
             self.backend = backend
-        self._properties: List[Property] = []
+        #: The subscriptions as ``(property, id(property), clears)``, so
+        #: a commit looks neither of the last two up again.
+        self._watched: List[Tuple[Property, int, bool]] = []
         self._seen: Dict[int, Set[Tuple[object, ...]]] = {}
         self._violation_log: List[Violation] = []
         self._batch: Optional[BatchTransaction] = None
@@ -265,18 +266,20 @@ class VerificationSession:
         """Subscribe ``prop``; it is checked on every committed update."""
         if not isinstance(prop, Property):
             raise TypeError(f"{prop!r} does not implement Property")
-        self._properties.append(prop)
+        self._watched.append(
+            (prop, id(prop), bool(getattr(prop, "clears", False))))
         self._seen.setdefault(id(prop), set())
         return prop
 
     def unwatch(self, prop: Property) -> None:
         """Drop the subscription for ``prop`` (no-op if not watched)."""
-        self._properties = [p for p in self._properties if p is not prop]
+        self._watched = [entry for entry in self._watched
+                         if entry[0] is not prop]
 
     @property
     def properties(self) -> Tuple[Property, ...]:
         """The currently watched properties, in subscription order."""
-        return tuple(self._properties)
+        return tuple(entry[0] for entry in self._watched)
 
     def check(self, prop: Property) -> List[Violation]:
         """One-shot evaluation of ``prop`` on the current state (no
@@ -317,12 +320,11 @@ class VerificationSession:
         """Insert ``rule``; returns the :class:`UpdateResult` (or, inside
         a batch, the per-op :class:`OpRecord` — the aggregated result
         lands on the transaction)."""
-        return self._apply_one("+", rule.rid,
-                               lambda: self.backend.insert(rule))
+        return self._apply_one("+", rule.rid, self.backend.insert, rule)
 
     def remove(self, rid: int) -> Union[UpdateResult, OpRecord]:
         """Remove the rule with id ``rid``."""
-        return self._apply_one("-", rid, lambda: self.backend.remove(rid))
+        return self._apply_one("-", rid, self.backend.remove, rid)
 
     def apply(self, op: Op) -> Union[UpdateResult, OpRecord]:
         """Apply one dataset :class:`~repro.datasets.format.Op`."""
@@ -359,8 +361,7 @@ class VerificationSession:
             raise RuntimeError("apply_batch cannot run inside session.batch()")
         inserts = list(rules_to_insert)
         removals = list(rids_to_remove)
-        clock = time.perf_counter
-        start = clock()
+        start = _clock()
         batch_call = getattr(self.backend, "apply_batch", None)
         if batch_call is not None:
             batch: BackendBatch = batch_call(inserts, removals)
@@ -379,11 +380,11 @@ class VerificationSession:
             updates = [self.backend.remove(rid) for rid in removals]
             updates += [self.backend.insert(rule) for rule in inserts]
             delta = self._merge_deltas(updates)
-        elapsed = clock() - start
-        per_op = elapsed / len(updates) if updates else 0.0
+        applied = _clock()
+        per_op = (applied - start) / len(updates) if updates else 0.0
         ops = [OpRecord("+" if update.inserted else "-", update.rid, per_op)
                for update in updates]
-        return self._commit(updates, ops, delta=delta)
+        return self._commit(updates, ops, delta, applied)
 
     # -- the unified Query API ---------------------------------------------------
 
@@ -399,8 +400,7 @@ class VerificationSession:
         fills ``spans``/``violations``.  ``result.seconds`` reports the
         evaluation wall-clock.
         """
-        clock = time.perf_counter
-        start = clock()
+        start = _clock()
         run = getattr(self.backend, "run_query", None)
         if run is not None:
             result = run(query)
@@ -409,7 +409,7 @@ class VerificationSession:
             from repro.query.planner import evaluate_generic
 
             result = evaluate_generic(self.backend, query)
-        result.seconds = clock() - start
+        result.seconds = _clock() - start
         return result
 
     # -- speculation -------------------------------------------------------------
@@ -487,16 +487,17 @@ class VerificationSession:
 
     # -- internals --------------------------------------------------------------
 
-    def _apply_one(self, kind: str, rid: int, action):
-        clock = time.perf_counter
-        start = clock()
-        update: BackendUpdate = action()
-        record = OpRecord(kind, rid, clock() - start)
-        if self._batch is not None:
-            self._batch.updates.append(update)
-            self._batch.ops.append(record)
+    def _apply_one(self, kind: str, rid: int, action, arg):
+        start = _clock()
+        update: BackendUpdate = action(arg)
+        applied = _clock()
+        record = OpRecord(kind, rid, applied - start)
+        batch = self._batch
+        if batch is not None:
+            batch.updates.append(update)
+            batch.ops.append(record)
             return record
-        return self._commit([update], [record])
+        return self._commit([update], [record], update.delta, applied)
 
     def _begin_batch(self, txn: BatchTransaction) -> None:
         if self._batch is not None:
@@ -509,7 +510,8 @@ class VerificationSession:
         # the error have changed the data plane — they must still be
         # checked, or their violations would be lost for good (every
         # later incremental check inspects only its own delta).
-        txn.result = self._commit(txn.updates, txn.ops)
+        txn.result = self._commit(txn.updates, txn.ops,
+                                  self._merge_deltas(txn.updates), _clock())
 
     @staticmethod
     def _merge_deltas(updates: List[BackendUpdate]) -> Optional[DeltaGraph]:
@@ -520,36 +522,37 @@ class VerificationSession:
         return _merge_update_deltas(updates)
 
     def _commit(self, updates: List[BackendUpdate], ops: List[OpRecord],
-                delta: Any = _UNSET) -> UpdateResult:
+                delta: Optional[DeltaGraph], applied: float) -> UpdateResult:
+        """Check ``updates`` once and wrap up their result; ``applied``
+        is the clock reading taken as the last of them returned, where
+        the time spent checking starts to count."""
         self.sequence += len(ops)
-        if delta is _UNSET:
-            delta = self._merge_deltas(updates)
-        result = UpdateResult(backend=self.backend_name, ops=ops, delta=delta)
-        if self._properties and updates:
-            clock = time.perf_counter
-            start = clock()
-            commit = Commit(updates=updates, delta=delta)
-            for prop in self._properties:
-                seen = self._seen[id(prop)]
+        backend = self.backend
+        result = UpdateResult(backend.name, ops, delta)
+        if self._watched and updates:
+            commit = Commit(updates, delta)
+            seen_by = self._seen
+            for prop, key, clears in self._watched:
+                seen = seen_by[key]
                 current: Set[Tuple[object, ...]] = set()
-                for violation in prop.check(self.backend, commit):
+                for violation in prop.check(backend, commit):
                     current.add(violation.signature)
                     if violation.signature in seen:
                         continue
                     seen.add(violation.signature)
                     result.violations.append(violation)
                     self._violation_log.append(violation)
-                if getattr(prop, "clears", False):
+                if clears:
                     # State-based properties re-arm once satisfied: a
                     # violation that disappeared may fire again later.
-                    self._seen[id(prop)] = current
-            result.check_seconds = clock() - start
+                    seen_by[key] = current
+            result.check_seconds = _clock() - applied
         return result
 
     def __repr__(self) -> str:
         return (f"VerificationSession(backend={self.backend_name!r}, "
                 f"rules={self.num_rules}, "
-                f"properties={[p.name for p in self._properties]})")
+                f"properties={[p.name for p in self.properties]})")
 
 
 class SpeculativeSession(VerificationSession):
@@ -582,7 +585,7 @@ class SpeculativeSession(VerificationSession):
 
         self.backend = parent.backend.speculate()
         self.parent = parent
-        self._properties = []
+        self._watched = []
         self._seen = {}
         self._violation_log = []
         self._batch = None
@@ -601,7 +604,7 @@ class SpeculativeSession(VerificationSession):
                 load = getattr(clone, "load_state_dict", None)
                 if state is not None and callable(load):
                     load(state)
-            self._properties.append(clone)
+            self.watch(clone)
             self._seen[id(clone)] = set(parent._seen.get(id(prop), ()))
 
     # -- freshness ---------------------------------------------------------------

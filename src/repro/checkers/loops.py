@@ -6,13 +6,13 @@ highest-priority owning rule).  A loop is therefore found by pointer
 chasing with a visited set — the paper's "iterative depth-first graph
 traversal".
 
-Chasing runs through the verifier's persistent
-:class:`~repro.core.findex.ForwardingIndex`: a node's labelled out-edges
-are one dict lookup and atom membership is O(log runs), so a check costs
-O(affected · path · log) — nothing is rebuilt per check.  (The seed
-rebuilt a ``source -> out-links`` map on every ``check_update``, an O(E)
-tax the ``check_latency`` benchmark now measures against; the old code
-survives as :mod:`repro.checkers.sweep`, the equivalence oracle.)
+Every hop is :meth:`DeltaNet.next_hop <repro.core.deltanet.DeltaNet.
+next_hop>`: ``owner[atom][node]``'s highest-priority rule names the next
+node directly, so a check costs O(affected · path · log M) whatever the
+node's out-degree — no out-link is searched and nothing is rebuilt or
+cached per check.  (The label-derived chase survives as
+:mod:`repro.checkers.sweep`, the oracle that keeps this one honest
+without trusting the owner structure.)
 
 Two entry points:
 
@@ -31,12 +31,13 @@ runs of its links.
 from __future__ import annotations
 
 from typing import (
-    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.core.delta_graph import DeltaGraph
 from repro.core.deltanet import DeltaNet
-from repro.core.findex import ForwardingIndex, NextHop
+from repro.core.findex import ForwardingIndex
 from repro.core.rules import DROP, Link, canonical_rotation, cycle_links
 from repro.structures.atomruns import AtomRuns
 
@@ -54,18 +55,30 @@ class Loop(NamedTuple):
         return Loop(self.atom, canonical_rotation(self.cycle))
 
 
-def _chase(next_hop: NextHop, start: object, atom: int) -> Optional[Loop]:
-    """Follow the functional graph of ``atom`` from ``start``."""
+def _chase(next_hop: Callable[[object, int], Optional[object]],
+           start: object, atom: int, done: Set[object]) -> Optional[Loop]:
+    """Follow the functional graph of ``atom`` from ``start``.
+
+    ``done`` holds the nodes earlier chases of this atom classified (and
+    gains this chase's): a path that joins one leads only to a loop
+    already found, so it stops there and reports nothing.
+    """
     path: List[object] = []
-    seen_at: Dict[object, int] = {}
     node: Optional[object] = start
-    while node is not None and node != DROP:
-        if node in seen_at:
-            return Loop(atom, tuple(path[seen_at[node]:])).canonical()
-        seen_at[node] = len(path)
+    while node is not None and node != DROP and node not in done:
+        done.add(node)
         path.append(node)
         node = next_hop(node, atom)
+    if node in path:
+        return Loop(atom, canonical_rotation(path[path.index(node):]))
     return None
+
+
+def distinct_cycles(loops: Iterable[Loop]) -> List[Tuple[object, ...]]:
+    """The cycles of ``loops`` in first-seen order, one cycle found for
+    several atoms (or in several shards) folded.  Loop cycles are
+    canonical rotations already, so equality is enough."""
+    return list(dict.fromkeys(loop.cycle for loop in loops))
 
 
 def cycle_alive(findex: ForwardingIndex, cycle: Sequence[object]) -> bool:
@@ -100,18 +113,15 @@ class LoopChecker:
         """Loops introduced by the update described by ``delta_graph``.
 
         A new loop must contain at least one newly-added ``(link, atom)``
-        pair, so chasing from each added link's source suffices.  Chases
-        share one memoizing resolver over the live index, so the cost is
-        proportional to the delta — never to the edge set.
+        pair, so chasing from each added link's source suffices: the cost
+        is proportional to the delta — never to the edge set.
         """
-        if not delta_graph.added:
-            return []
-        next_hop = self.deltanet.findex.resolver()
+        next_hop = self.deltanet.next_hop
         loops: List[Loop] = []
         seen: Set[Loop] = set()
         for link, atoms in delta_graph.added.items():
             for atom in atoms:
-                loop = _chase(next_hop, link.source, atom)
+                loop = _chase(next_hop, link.source, atom, set())
                 if loop is not None and loop not in seen:
                     seen.add(loop)
                     loops.append(loop)
@@ -127,39 +137,25 @@ def find_forwarding_loops(deltanet: DeltaNet,
     affected atoms and subgraph); by default every labelled atom on every
     link is covered.
     """
-    findex = deltanet.findex
-    next_hop = findex.resolver()
+    next_hop = deltanet.next_hop
+    label = deltanet.label
     atom_filter = set(atoms) if atoms is not None else None
-    link_iter = list(links) if links is not None else list(deltanet.label)
-    loops: List[Loop] = []
-    seen: Set[Loop] = set()
-    # Group starting points by atom so each functional graph is walked once
-    # per distinct entry component.
+    # Group starting points by atom so each functional graph is walked
+    # once: every node is chased through at most once per atom.
     starts: Dict[int, Set[object]] = {}
-    for link in link_iter:
-        bucket = deltanet.label.get(link)
+    for link in (label if links is None else links):
+        bucket = label.get(link)
         if not bucket:
             continue
         for atom in bucket:
-            if atom_filter is not None and atom not in atom_filter:
-                continue
-            starts.setdefault(atom, set()).add(link.source)
-    num_sources = len(findex.by_source)
+            if atom_filter is None or atom in atom_filter:
+                starts.setdefault(atom, set()).add(link.source)
+    loops: List[Loop] = []
+    seen: Set[Loop] = set()
     for atom, sources in starts.items():
         done: Set[object] = set()
         for source in sources:
-            if source in done:
-                continue
-            loop = _chase(next_hop, source, atom)
-            # Every node on the chased path has been classified for this atom.
-            node: Optional[object] = source
-            steps = 0
-            limit = len(sources) + num_sources + 2
-            while (node is not None and node != DROP and node not in done
-                   and steps < limit):
-                done.add(node)
-                node = next_hop(node, atom)
-                steps += 1
+            loop = _chase(next_hop, source, atom, done)
             if loop is not None and loop not in seen:
                 seen.add(loop)
                 loops.append(loop)

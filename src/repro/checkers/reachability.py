@@ -86,7 +86,7 @@ def reachable_nodes(deltanet: DeltaNet, src: object, atom: int) -> List[object]:
     """Every node an ``atom``-packet injected at ``src`` traverses."""
     out: List[object] = []
     seen: Set[object] = set()
-    next_hop = deltanet.findex.next_hop
+    next_hop = deltanet.next_hop
     node: Optional[object] = src
     while node is not None and node != DROP and node not in seen:
         seen.add(node)

@@ -7,11 +7,13 @@ represents the flow of *all* packets in the entire network:
   i.e. the link of the highest-priority rule owning each atom, stored
   run-length compressed (:class:`~repro.structures.atomruns.AtomRuns`)
   inside the persistent :class:`~repro.core.findex.ForwardingIndex`,
-  whose per-source view the property checkers chase through without
-  ever rebuilding a ``source -> out-links`` map,
+  whose per-source view the set-at-a-time checkers walk without ever
+  rebuilding a ``source -> out-links`` map,
 * ``owner[atom][source]`` — a priority-ordered BST of the rules installed
   on ``source`` whose interval contains ``atom`` (persistent treaps, so an
-  atom split copies them in O(1)),
+  atom split copies them in O(1)); its highest-priority rule is where
+  the atom goes next, which is all :meth:`DeltaNet.next_hop` — the hop
+  of every path-following check — has to read,
 * the atom table ``M`` (:class:`repro.core.atoms.AtomTable`).
 
 Each :meth:`DeltaNet.insert_rule` / :meth:`DeltaNet.remove_rule` call
@@ -57,7 +59,7 @@ class DeltaNet:
         self.atoms = AtomTable(width=width, seed=seed)
         #: The forwarding index owns the labels; ``self.label`` aliases
         #: its ``by_link`` dict so every reader of the label table and
-        #: every checker chasing ``findex.by_source`` see one state.
+        #: every checker walking ``findex.by_source`` see one state.
         self.findex = ForwardingIndex()
         self.label: Dict[Link, AtomRuns] = self.findex.by_link
         self.rules: Dict[int, Rule] = {}
@@ -103,15 +105,36 @@ class DeltaNet:
             raise KeyError(f"atom {atom} is dead")
         return owners
 
+    def _peek_owners(self, atom: int) -> Optional[OwnerMap]:
+        """``owner[atom]`` for reading only (``None``: dead or unknown
+        atom).  Speculative children answer without materialising the
+        slot in their copy-on-write overlay."""
+        owner = self._owner
+        return owner[atom] if 0 <= atom < len(owner) else None
+
     def owner_rule(self, atom: int, source: object) -> Optional[Rule]:
         """Highest-priority rule owning ``atom`` at ``source``, if any."""
-        owners = self._owner[atom]
-        if owners is None:
-            return None
-        root = owners.get(source)
+        owners = self._peek_owners(atom)
+        root = owners.get(source) if owners else None
+        return ptreap.max_node(root).value if root is not None else None
+
+    def next_hop(self, node: object, atom: int) -> Optional[object]:
+        """Where an ``atom``-packet at ``node`` goes next: the target of
+        its highest-priority owner's link (:data:`DROP` for a drop rule),
+        ``None`` when no rule at ``node`` owns the atom or it is dead.
+
+        THE chase primitive of every path-following check: it reads the
+        owner structure Algorithms 1/2 maintain — a slot, a dict probe
+        and the treap's right spine, O(log M) — instead of searching the
+        node's labelled out-links for the one that carries the atom.
+        """
+        owners = self._peek_owners(atom)
+        root = owners.get(node) if owners else None
         if root is None:
             return None
-        return ptreap.max_node(root).value
+        while root.right is not None:
+            root = root.right
+        return root.value.link.target
 
     def atoms_overlapping(self, lo: int, hi: int) -> Iterator[int]:
         """All atoms whose interval intersects ``[lo : hi)``."""

@@ -1,10 +1,9 @@
-"""The persistent forwarding index: check-path twin of the delta-graph.
+"""The persistent forwarding index: the labels, arranged for the checkers.
 
 Delta-net's update path is incremental by construction (Algorithms 1/2
 touch only the modified atoms), but the seed's *check* path was not: on
 every update the loop checker rebuilt a ``source -> out-links`` map from
-the whole label table — O(E) per check — and chased next hops with
-per-atom set membership scans.
+the whole label table — O(E) per check.
 
 :class:`ForwardingIndex` removes that rebuild.  It owns the edge labels
 (``by_link``: one :class:`~repro.structures.atomruns.AtomRuns` per link)
@@ -12,9 +11,15 @@ and, sharing those exact AtomRuns objects, a per-source view
 (``by_source``: ``node -> {link: AtomRuns}``).  Both views are mutated
 together by :meth:`add` / :meth:`discard`, which is what
 :class:`~repro.core.deltanet.DeltaNet` calls from every label change —
-single-op and batched alike.  Checkers then chase forwarding paths with
-:meth:`next_hop` (out-links of a node are one dict lookup, membership is
-O(log runs)) and never touch the full edge set again.
+single-op and batched alike.  The set-at-a-time checkers (reachability
+masks, black holes, link-failure impact) read a node's out-links in one
+dict lookup and never touch the full edge set again.
+
+The index answers "which atoms does this link carry", not "where does
+this atom go next": following ONE atom hop by hop is
+:meth:`DeltaNet.next_hop <repro.core.deltanet.DeltaNet.next_hop>`, a
+direct read of the owner structure, because finding the hop here would
+mean searching every out-link of the node for the atom.
 
 Because the per-source view stores *references* to the label AtomRuns,
 the index costs O(nodes + links) extra words on top of the labels — it
@@ -23,17 +28,11 @@ is a second key arrangement, not a second copy.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.core.rules import Link
 from repro.integrity.digest import LabelDigest, digests_enabled
 from repro.structures.atomruns import AtomRuns
-
-#: The memoized ``(node, atom) -> next node`` chase function handed to
-#: one property check (see :meth:`ForwardingIndex.resolver`).
-NextHop = Callable[[object, int], Optional[object]]
-
-_MISS = object()
 
 
 class ForwardingIndex:
@@ -110,51 +109,6 @@ class ForwardingIndex:
             for link in list(self.by_link):
                 self.discard(link, dead_atom)
 
-    # -- chase primitives (the readers) ----------------------------------------
-
-    def out_links(self, node: object) -> Dict[Link, AtomRuns]:
-        """The labelled out-edges of ``node`` (possibly empty, read-only)."""
-        return self.by_source.get(node) or {}
-
-    def next_hop(self, node: object, atom: int) -> Optional[object]:
-        """The unique next hop of an ``atom``-packet at ``node``, if any."""
-        links = self.by_source.get(node)
-        if links:
-            for link, runs in links.items():
-                if atom in runs:
-                    return link.target
-        return None
-
-    def resolver(self) -> NextHop:
-        """A memoizing :meth:`next_hop` for ONE property check.
-
-        Loop/path chases revisit the same ``(node, atom)`` pairs many
-        times within a check (every start whose path crosses an already
-        classified node); the returned closure caches resolutions so
-        each pair pays the out-link scan once.  The cache is only valid
-        while the labels do not change — take a fresh resolver per
-        check, never cache one across updates.
-        """
-        cache: Dict[Tuple[object, int], Optional[object]] = {}
-        by_source = self.by_source
-
-        def next_hop(node: object, atom: int) -> Optional[object]:
-            key = (node, atom)
-            hop = cache.get(key, _MISS)
-            if hop is not _MISS:
-                return hop
-            hop = None
-            links = by_source.get(node)
-            if links:
-                for link, runs in links.items():
-                    if atom in runs:
-                        hop = link.target
-                        break
-            cache[key] = hop
-            return hop
-
-        return next_hop
-
     def set_label(self, link: Link, runs: AtomRuns) -> None:
         """Install a whole label bucket at once (snapshot restore).
 
@@ -176,6 +130,12 @@ class ForwardingIndex:
         if bucket is None:
             bucket = self.by_source[link.source] = {}
         bucket[link] = runs
+
+    # -- readers ---------------------------------------------------------------
+
+    def out_links(self, node: object) -> Dict[Link, AtomRuns]:
+        """The labelled out-edges of ``node`` (possibly empty, read-only)."""
+        return self.by_source.get(node) or {}
 
     # -- bulk construction / diagnostics ---------------------------------------
 

@@ -10,7 +10,8 @@ replaying the child's buffered ops on the parent) or discarded outright:
   (:mod:`repro.structures.ptreap`) are shared with the parent as-is —
   path copying makes their roots immutable, so sharing is free; only
   the per-atom ``source -> root`` dicts (which the sweeps mutate in
-  place) are copied, lazily, the first time the child touches an atom,
+  place) are copied, lazily, the first time a sweep of the child touches
+  an atom — path chases (``DeltaNet.next_hop``) peek and copy nothing,
 * edge labels (:class:`~repro.structures.atomruns.AtomRuns`) are shared
   until the child's first write to that label; the write copies the
   runs (O(runs)) and installs the copy in *both* index views, keeping
@@ -78,6 +79,15 @@ class _CowOwners:
         owners = dict(base) if base is not None else None
         self._own[atom] = owners
         return owners
+
+    def peek(self, atom: int) -> Optional[OwnerMap]:
+        """The slot for reading only: the overlay's dict if the child
+        already touched the atom, else the parent's own — never a copy,
+        so chasing a path leaves the overlay as it found it."""
+        owners = self._own.get(atom, _MISS)
+        if owners is not _MISS:
+            return owners
+        return self._parent[atom] if 0 <= atom < self._len else None
 
     def __setitem__(self, atom: int, owners: Optional[OwnerMap]) -> None:
         if not 0 <= atom < self._len:
@@ -185,6 +195,9 @@ class SpeculativeDeltaNet(DeltaNet):
                 "parent advanced since this speculation was forked "
                 f"({self._parent.mutations - self._base_mutations} "
                 "mutation(s) behind); discard and re-speculate")
+
+    def _peek_owners(self, atom):
+        return self._owner.peek(atom)
 
     def insert_rule(self, rule):
         self.assert_fresh()

@@ -10,11 +10,13 @@ QueryResult` envelope:
 * :func:`evaluate_deltanet` / :func:`evaluate_sharded` plan against the
   live Delta-net structures directly.  The planner restricts work to the
   atom set and link subgraph the query can touch: a ``LinkDown`` query
-  intersects the failed label against other labels with a run-length
-  disjointness early-exit (never a per-link bitmask over the whole atom
-  universe), a ``Reachable`` query materializes masks only for links its
-  BFS frontier crosses, and loop sweeps for ``LinkDown(loops=True)``
-  chase only the affected atoms over the affected subgraph.
+  ANDs the failed label's bitmask against one bitmask per labelled link
+  (built per query, O(runs) each; :func:`repro.checkers.whatif.
+  sweep_all_links` shares one mask table across its queries), a
+  ``Reachable`` query materializes masks only for links its BFS frontier
+  crosses, and the loop sweep of ``LinkDown(loops=True)`` starts only
+  from the affected atoms on the affected subgraph, following each by
+  ``DeltaNet.next_hop``.
 
 Span results are computed through the same code paths the historical
 per-method surface used, so ``session.query(FlowsOn(link)).spans`` is
@@ -23,12 +25,8 @@ bit-identical to the deprecated ``session.flows_on(link)``.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from repro.core.rules import canonical_rotation
 from repro.query.model import (
-    Cycle, FlowsOn, LinkDown, Loops, Query, QueryResult, QUERY_KINDS,
-    Reachable, as_link,
+    FlowsOn, LinkDown, Query, QueryResult, QUERY_KINDS, Reachable, as_link,
 )
 
 
@@ -37,13 +35,6 @@ def _kind(query: Query) -> str:
     if kind is None:
         raise TypeError(f"not a Query: {query!r}")
     return kind
-
-
-def _canonical(cycles) -> List[Cycle]:
-    seen: Dict[Cycle, None] = {}
-    for cycle in cycles:
-        seen.setdefault(canonical_rotation(cycle))
-    return list(seen)
 
 
 def evaluate_generic(backend, query: Query) -> QueryResult:
@@ -64,15 +55,15 @@ def evaluate_generic(backend, query: Query) -> QueryResult:
     elif isinstance(query, LinkDown):
         result.spans = backend.what_if_link_down(as_link(query.link))
         if query.loops and result.spans:
-            result.violations = _canonical(backend.find_loops())
+            result.violations = backend.find_loops()
     else:
-        result.violations = _canonical(backend.find_loops())
+        result.violations = backend.find_loops()
     return result
 
 
 def evaluate_deltanet(net, query: Query, backend: str = "deltanet") -> QueryResult:
     """Goal-directed evaluation against one live :class:`DeltaNet`."""
-    from repro.checkers.loops import find_forwarding_loops
+    from repro.checkers.loops import distinct_cycles, find_forwarding_loops
     from repro.checkers.reachability import reachable_atoms
     from repro.checkers.whatif import link_failure_impact
     from repro.core.atomset import atoms_to_interval_set
@@ -95,10 +86,9 @@ def evaluate_deltanet(net, query: Query, backend: str = "deltanet") -> QueryResu
         result.subgraph = {link: sorted(atoms)
                            for link, atoms in impact.affected_subgraph.items()}
         result.spans = impact.affected_intervals(net)
-        result.violations = _canonical(loop.cycle for loop in impact.loops)
+        result.violations = distinct_cycles(impact.loops)
     else:
-        result.violations = _canonical(
-            loop.cycle for loop in find_forwarding_loops(net))
+        result.violations = distinct_cycles(find_forwarding_loops(net))
     return result
 
 
@@ -108,6 +98,7 @@ def evaluate_sharded(sharded, query: Query, backend: str = "sharded") -> QueryRe
     Spans merge across shards; atom ids do not (each shard numbers its
     own atom universe), so ``atoms``/``subgraph`` stay ``None`` here.
     """
+    from repro.checkers.loops import distinct_cycles
     from repro.checkers.reachability import reachable_atoms
     from repro.checkers.whatif import link_failure_impact
     from repro.core.atomset import atoms_to_interval_set
@@ -130,9 +121,8 @@ def evaluate_sharded(sharded, query: Query, backend: str = "sharded") -> QueryRe
             loops = []
             for net in sharded.nets:
                 impact = link_failure_impact(net, link, check_loops=True)
-                loops.extend(loop.cycle for loop in impact.loops)
-            result.violations = _canonical(loops)
+                loops.extend(impact.loops)
+            result.violations = distinct_cycles(loops)
     else:
-        result.violations = _canonical(
-            loop.cycle for loop in sharded.find_loops())
+        result.violations = distinct_cycles(sharded.find_loops())
     return result

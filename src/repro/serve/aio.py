@@ -138,6 +138,8 @@ class AsyncSessionHub:
         self.max_line_bytes = max_line_bytes
         self._log = log
         self._writers: Dict[str, _Writer] = {}
+        #: Connected TCP clients: the task serving each and its socket.
+        self._connections: Dict["asyncio.Task", asyncio.StreamWriter] = {}
         self._draining = False
         self._stop: Optional[asyncio.Event] = None
         self._served = 0
@@ -199,6 +201,20 @@ class AsyncSessionHub:
                 writer.task.cancel()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.manager.close_all)
+
+    async def close_connections(self) -> None:
+        """Hang up on every connected client and let its loop finish.
+
+        Closing the socket ends the client's pending read with EOF, so
+        :meth:`serve_connection` returns by itself; left attached, the
+        client's task would be cancelled mid-read when the event loop
+        shuts down and the stream protocol would log the traceback.
+        """
+        if not self._connections:
+            return
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.wait(list(self._connections), timeout=10)
 
     # -- request handling --------------------------------------------------------
 
@@ -403,6 +419,8 @@ class AsyncSessionHub:
         self._m_connections.inc(transport="tcp")
         conn = HubConnection()
         framer = _AsyncLineFramer(reader, self.max_line_bytes)
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 line, oversized = await framer.next_frame()
@@ -422,6 +440,7 @@ class AsyncSessionHub:
             self._log(f"client disconnected mid-request: "
                       f"{type(exc).__name__}: {exc}")
         finally:
+            del self._connections[task]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -460,8 +479,11 @@ async def serve_hub_tcp(hub: AsyncSessionHub, host: str = "127.0.0.1",
         await hub.wait_stopped()
     finally:
         server.close()
-        await server.wait_closed()
         await hub.aclose()
+        # Hang up before waiting: since Python 3.12 ``wait_closed``
+        # returns only once every accepted connection has finished.
+        await hub.close_connections()
+        await server.wait_closed()
 
 
 def serve_hub_stdio(hub: AsyncSessionHub, in_stream: IO[str],

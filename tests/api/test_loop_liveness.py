@@ -302,6 +302,44 @@ def test_recycled_atom_id_cannot_hide_the_link_that_lost_flow():
         == [("loop", ("a", "b"))]
 
 
+def test_witness_atom_is_a_hint_never_the_verdict(monkeypatch):
+    """DeltaNetBackend.cycle_alive first follows the atom the loop was
+    found for round the cycle; only once that atom has left does it
+    intersect the labels, and a dead cycle's witness is dropped."""
+    from repro.api import backends
+
+    session = _looping_session()
+    backend, cycle = session.backend, ("a", "b")
+    intersected = []
+    intersection = backends.cycle_alive
+
+    def counted(findex, asked):
+        intersected.append(asked)
+        return intersection(findex, asked)
+
+    monkeypatch.setattr(backends, "cycle_alive", counted)
+    # The witness still loops: a chase answers, no label is read.
+    assert set(backend._witness) == {cycle}
+    assert backend.cycle_alive(cycle) and not intersected
+    # Split the looping atom, then take the witness's half off a->b:
+    # the hint fails, the intersection finds the other half.
+    session.insert(Rule.forward(2, 0, 32, 1, "c", "d"))
+    lo, hi = backend.native.atoms.atom_interval(backend._witness[cycle])
+    assert (lo, hi) in [(0, 32), (32, 64)]
+    session.insert(Rule.forward(3, lo, hi, 5, "a", "c"))
+    assert intersected == [cycle]
+    assert ("loop", cycle) in session.properties[0]._reported
+    # The other half leaves too: dead, forgotten, the hint dropped.
+    session.insert(Rule.forward(4, 32 - lo, 32 - lo + 32, 5, "a", "c"))
+    assert intersected == [cycle, cycle]
+    assert not session.properties[0]._reported and not backend._witness
+    # A fork starts without hints and answers the same.
+    session.remove(4)
+    child = backend.speculate()
+    assert backend._witness and not child._witness
+    assert child.cycle_alive(cycle)
+
+
 def test_backends_without_deltas_filter_by_updated_switch(monkeypatch):
     session = _looping_session("veriflow")
     calls = _count_liveness_calls(session, monkeypatch)

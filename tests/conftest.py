@@ -117,6 +117,16 @@ def random_rules(rng: random.Random, count: int, width: int = 8,
     return rules
 
 
+def label_scan_next_hop(net, node: object, atom: int) -> Optional[object]:
+    """The next hop of ``atom`` at ``node`` read off the label table
+    alone: the reference ``DeltaNet.next_hop`` (which reads the owner
+    structure instead) is checked against."""
+    targets = [link.target for link, atoms in net.label.items()
+               if link.source == node and atom in atoms]
+    assert len(targets) <= 1, f"atom {atom} leaves {node} on {targets}"
+    return targets[0] if targets else None
+
+
 def deltanet_label_intervals(net) -> Dict[Link, List[Tuple[int, int]]]:
     """Delta-net's labels, lowered to canonical interval lists."""
     from repro.core.atomset import atoms_to_interval_set

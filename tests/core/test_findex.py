@@ -2,13 +2,11 @@
 
 import random
 
-import pytest
-
 from repro.core.deltanet import DeltaNet
 from repro.core.findex import ForwardingIndex
-from repro.core.rules import Link, Rule
+from repro.core.rules import DROP, Link, Rule
 
-from tests.conftest import random_rules
+from tests.conftest import label_scan_next_hop, random_rules
 
 
 class TestStandalone:
@@ -34,25 +32,6 @@ class TestStandalone:
         index = ForwardingIndex()
         index.discard(Link("a", "b"), 7)
         index.check_consistency()
-
-    def test_next_hop_resolution(self):
-        index = ForwardingIndex()
-        index.add(Link("a", "b"), 1)
-        index.add(Link("a", "c"), 2)
-        assert index.next_hop("a", 1) == "b"
-        assert index.next_hop("a", 2) == "c"
-        assert index.next_hop("a", 9) is None
-        assert index.next_hop("unknown", 1) is None
-
-    def test_resolver_memoizes_current_state_only(self):
-        index = ForwardingIndex()
-        index.add(Link("a", "b"), 1)
-        resolver = index.resolver()
-        assert resolver("a", 1) == "b"
-        index.discard(Link("a", "b"), 1)
-        # The old resolver is stale by contract; a fresh one is correct.
-        assert resolver("a", 1) == "b"
-        assert index.resolver()("a", 1) is None
 
     def test_out_links_empty_for_unknown_node(self):
         assert ForwardingIndex().out_links("nowhere") == {}
@@ -104,6 +83,32 @@ class TestInsideDeltaNet:
                {source: {link: set(runs) for link, runs in bucket.items()}
                 for source, bucket in net.findex.by_source.items()}
 
+    def test_next_hop_resolution(self):
+        net = DeltaNet(width=8)
+        net.insert_rule(Rule.forward(0, 0, 64, 1, "a", "b"))
+        net.insert_rule(Rule.forward(1, 64, 128, 1, "a", "c"))
+        net.insert_rule(Rule.drop(2, 128, 192, 1, "a"))
+        at = net.atoms.atom_at
+        assert net.next_hop("a", at(0)) == "b"
+        assert net.next_hop("a", at(64)) == "c"
+        assert net.next_hop("a", at(128)) == DROP
+        assert net.next_hop("a", at(192)) is None
+        assert net.next_hop("a", 99) is None
+        assert net.next_hop("unknown", at(0)) is None
+
+    def test_next_hop_reads_current_state(self):
+        # No per-check cache stands between a chase and the owners: the
+        # hop changes with the very next update.
+        net = DeltaNet(width=8)
+        net.insert_rule(Rule.forward(0, 0, 256, 1, "a", "b"))
+        assert net.next_hop("a", 0) == "b"
+        net.insert_rule(Rule.forward(1, 0, 256, 2, "a", "c"))
+        assert net.next_hop("a", 0) == "c"
+        net.remove_rule(1)
+        assert net.next_hop("a", 0) == "b"
+        net.remove_rule(0)
+        assert net.next_hop("a", 0) is None
+
     def test_next_hop_matches_owner_rule(self):
         net = DeltaNet(width=8)
         rng = random.Random(0xCAFE)
@@ -113,4 +118,5 @@ class TestInsideDeltaNet:
             for source in list(net.nodes):
                 owner = net.owner_rule(atom, source)
                 expected = owner.target if owner is not None else None
-                assert net.findex.next_hop(source, atom) == expected
+                assert net.next_hop(source, atom) == expected
+                assert label_scan_next_hop(net, source, atom) == expected

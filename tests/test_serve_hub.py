@@ -208,6 +208,28 @@ class TestHubVerbs:
         finally:
             fresh.close_all()
 
+    def test_shutdown_with_another_client_attached_is_quiet(
+            self, tmp_path, caplog):
+        # Regression: the client left attached had its task cancelled
+        # mid-read when the loop shut down, and the stream protocol
+        # logged the CancelledError traceback.  The hub now hangs up on
+        # it first, so its loop ends on EOF like any other disconnect.
+        notes = []
+        hub = HubFixture(str(tmp_path / "root"), log=notes.append)
+        idle, stopper = hub.client(), hub.client()
+        assert idle.request(cmd="open", session="red")["ok"]
+        assert stopper.request(cmd="open", session="red")["ok"]
+        idle.sock.settimeout(10)  # a hub that never hangs up fails, not hangs
+        with caplog.at_level("WARNING", logger="asyncio"):
+            assert stopper.request(cmd="shutdown")["closing"]
+            assert idle.rfile.readline() == ""  # hung up on, not reset
+            hub.thread.join(timeout=10)
+        assert not hub.thread.is_alive()
+        idle.close()
+        stopper.close()
+        assert notes == []
+        assert [record.getMessage() for record in caplog.records] == []
+
 
 class TestHubFraming:
     @pytest.fixture
