@@ -8,7 +8,9 @@ A package of four layers (see ``docs/architecture.md``):
 - :mod:`repro.serve.sessions` — :class:`SessionManager`, named
   per-tenant sessions under one root directory;
 - :mod:`repro.serve.aio` — :class:`AsyncSessionHub`, the multi-tenant
-  asyncio transport (one writer task per session, concurrent readers);
+  asyncio transport (point updates on the event loop when the session
+  is idle, one FIFO write lane per session otherwise, concurrent
+  readers);
 - :mod:`repro.serve.metrics` — :class:`MetricsRegistry`, the counters,
   histograms and gauges behind the ``metrics`` verb.
 
@@ -21,16 +23,15 @@ re-exported here unchanged.
 """
 
 from repro.serve.aio import (
-    AsyncSessionHub, HubConnection, HUB_WRITE_CMDS, serve_hub_stdio,
-    serve_hub_tcp,
+    AsyncSessionHub, HubConnection, serve_hub_stdio, serve_hub_tcp,
 )
 from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.sessions import (
     SessionError, SessionManager, validate_session_name,
 )
 from repro.serve.stream import (
-    DEFAULT_MAX_LINE_BYTES, DrainRequested, LOCK_FREE_CMDS, ReadWriteLock,
-    StreamServer, WRITE_CMDS, _jsonable, _read_capped, _violation_payload,
+    DEFAULT_MAX_LINE_BYTES, DrainRequested, ReadWriteLock, StreamServer,
+    VERB_CLASS, _jsonable, _read_capped, _violation_payload,
     attach_controller, install_sigterm_drain, request_over_socket,
     rule_from_payload, serve_socket, serve_stdio, wait_until_idle,
 )
@@ -43,14 +44,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HubConnection",
-    "HUB_WRITE_CMDS",
-    "LOCK_FREE_CMDS",
     "MetricsRegistry",
     "ReadWriteLock",
     "SessionError",
     "SessionManager",
     "StreamServer",
-    "WRITE_CMDS",
+    "VERB_CLASS",
     "attach_controller",
     "install_sigterm_drain",
     "request_over_socket",

@@ -2,25 +2,31 @@
 
 :class:`AsyncSessionHub` multiplexes every connected controller over a
 :class:`~repro.serve.sessions.SessionManager`.  The concurrency model
-is the one the wire protocol promises (``docs/protocol.md``):
+is the one the wire protocol promises (``docs/protocol.md``; which verb
+is which: :data:`repro.serve.stream.VERB_CLASS`):
 
-- **one writer task per session** — mutating verbs (``insert``,
-  ``remove``, ``batch``, ``watch``, ``checkpoint``, ``audit``, and the
-  speculative ``speculate`` / ``commit`` / ``discard``) are
-  enqueued onto the target session's bounded queue and applied by that
-  session's single writer task, so writes serialize per tenant while
-  different tenants proceed in parallel (speculative children live
-  inside their session's :class:`StreamServer` and inherit its
+- **writes apply per session in arrival order** — a *point update*
+  (``insert`` / ``remove`` without ``"spec"``) with nothing ahead of it
+  runs right on the event-loop thread when it can neither block nor run
+  long: an in-process backend, a session write lock that a non-blocking
+  try wins, no periodic checkpoint due with it.  Under the GIL verifier
+  work is serial anyway, and a thread hop costs more than the update.
+  Every other write goes through the session's lane — a FIFO applied one
+  job at a time, each on an executor thread unless it has become such a
+  point update — so tenants' long writes proceed in parallel and the
+  loop never waits on a lock, a pipe or a disk (speculative children
+  live inside their session's :class:`StreamServer` and inherit its
   admission control and metrics scope);
 - **concurrent readers** — ``query``, ``violations``, ``stats``,
   ``ping`` run straight on the executor pool under the session's
   shared read lock, never waiting behind another tenant's writes;
-- **admission control per tenant** — a full writer queue answers
+- **admission control per tenant** — a full lane answers
   ``overloaded`` with the session's ``retry_after`` immediately,
   without blocking the event loop or the connection;
 - **hub verbs** — ``open`` / ``attach`` / ``detach`` / ``sessions``
   manage which session a connection talks to, and ``metrics`` /
-  ``health`` answer from the hub without touching any session lock.
+  ``health`` answer on the loop without touching any session lock:
+  at worst they wait for one point update, never for a thread.
 
 Transports: :func:`serve_hub_tcp` (asyncio TCP, many concurrent
 connections) and :func:`serve_hub_stdio` (the single-connection stdio
@@ -32,20 +38,19 @@ blocking on the next request frame.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import threading
+import weakref
+from collections import deque
 from functools import partial
 from typing import Any, Callable, Dict, IO, Optional, Tuple
 
 from repro.serve.sessions import SessionError, SessionManager
 from repro.serve.stream import (
-    DEFAULT_MAX_LINE_BYTES, DrainRequested, StreamServer, WRITE_CMDS,
+    DEFAULT_MAX_LINE_BYTES, DrainRequested, StreamServer, VERB_CLASS,
     _read_capped,
 )
-
-#: Mutating verbs routed through a session's writer task.  ``shutdown``
-#: is hub-level in multi-tenant mode, hence excluded.
-HUB_WRITE_CMDS = frozenset(WRITE_CMDS - {"shutdown"})
 
 #: ``open`` request keys forwarded to the session factory.
 _OPEN_OVERRIDE_KEYS = ("engine", "width", "properties", "checkpoint_every",
@@ -103,21 +108,22 @@ class _AsyncLineFramer:
             self._buf.extend(chunk)
 
 
-class _Writer:
-    """One session's write pipeline: a bounded queue and its task."""
+class _Lane:
+    """One session's writes that could not run on arrival: ``(request,
+    reply future)`` in order and, until they run dry, the task on them."""
 
-    def __init__(self, queue: "asyncio.Queue", task: "asyncio.Task") -> None:
-        self.queue = queue
-        self.task = task
+    def __init__(self) -> None:
+        self.jobs: deque = deque()
+        self.task: Optional["asyncio.Future"] = None
 
 
 class AsyncSessionHub:
     """Route protocol requests from many connections to named sessions.
 
     One hub owns one :class:`SessionManager` and must be driven from a
-    single asyncio event loop (its writer tasks live there); the
-    blocking session work itself runs on the loop's default executor,
-    so the loop stays responsive while a backend computes.
+    single asyncio event loop (it owns every session's write lane);
+    session work that can block or run long goes to the loop's default
+    executor, so the loop stays responsive while a backend computes.
     """
 
     def __init__(self, manager: SessionManager, *,
@@ -137,7 +143,8 @@ class AsyncSessionHub:
         self.retry_after = retry_after
         self.max_line_bytes = max_line_bytes
         self._log = log
-        self._writers: Dict[str, _Writer] = {}
+        #: Owned by the loop thread; a lane dies with its session.
+        self._lanes: Dict[StreamServer, _Lane] = weakref.WeakKeyDictionary()
         #: Connected TCP clients: the task serving each and its socket.
         self._connections: Dict["asyncio.Task", asyncio.StreamWriter] = {}
         self._draining = False
@@ -188,17 +195,11 @@ class AsyncSessionHub:
         await self._stop.wait()
 
     async def aclose(self) -> None:
-        """Stop writer tasks, then close every session (checkpoints)."""
+        """Let the lanes run dry, then close every session (checkpoints)."""
         self._draining = True
-        writers = list(self._writers.values())
-        self._writers.clear()
-        for writer in writers:
-            await writer.queue.put(None)
-        for writer in writers:
-            try:
-                await asyncio.wait_for(writer.task, timeout=10)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                writer.task.cancel()
+        busy = [lane.task for lane in self._lanes.values() if lane.task]
+        if busy and (await asyncio.wait(busy, timeout=10))[1]:
+            self._log("closing with writes still in a lane")
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.manager.close_all)
 
@@ -310,17 +311,26 @@ class AsyncSessionHub:
                     "error": f"no session attached for {cmd!r}; send "
                              f"\"open\"/\"attach\" first or set "
                              f"\"session\""}, True
-        loop = asyncio.get_running_loop()
         try:
-            server = await loop.run_in_executor(
-                None, self.manager.attach, target)
+            server = await self._attach(target)
         except SessionError as exc:
             return {"ok": False, "error": str(exc)}, True
-        if cmd in HUB_WRITE_CMDS:
-            return await self._submit_write(server, request)
-        response, _keep = await loop.run_in_executor(
-            None, server.handle_request, request)
-        return response, True
+        kind = VERB_CLASS.get(cmd, "read")
+        if kind == "free":
+            return server.handle_request(request)[0], True
+        if kind != "read":
+            return await self._write(server, request), True
+        return (await asyncio.get_running_loop().run_in_executor(
+            None, server.handle_request, request))[0], True
+
+    async def _attach(self, name: str) -> StreamServer:
+        """An open session straight from the table; only recovering one
+        from disk (or refusing the name) takes a thread."""
+        try:
+            return self.manager.get(name)
+        except SessionError:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, self.manager.attach, name)
 
     async def _open_or_attach(self, conn: HubConnection, cmd: str,
                               request: Dict[str, Any]
@@ -337,64 +347,63 @@ class AsyncSessionHub:
                 if "properties" in overrides:
                     overrides["properties"] = tuple(overrides["properties"])
                 call = partial(self.manager.open, name, **overrides)
+                server = await loop.run_in_executor(None, call)
             else:
-                call = partial(self.manager.attach, name)
-            server = await loop.run_in_executor(None, call)
-        except SessionError as exc:
+                server = await self._attach(name)
+        except (ValueError, TypeError) as exc:  # bad name or option
             return {"ok": False, "error": str(exc)}, True
         conn.session = server.name
-        self._ensure_writer(server)
         return {"ok": True, "session": server.name,
                 "seq": server.session.sequence,
                 "backend": server.session.backend_name,
                 "recovered": server.recovery is not None}, True
 
-    def _ensure_writer(self, server: StreamServer) -> _Writer:
-        writer = self._writers.get(server.name)
-        if writer is not None and not writer.task.done():
-            return writer
-        queue: asyncio.Queue = asyncio.Queue(
-            maxsize=max(1, server.max_queue))
-        task = asyncio.get_running_loop().create_task(
-            self._writer_loop(server, queue))
-        writer = _Writer(queue, task)
-        self._writers[server.name] = writer
-        return writer
-
-    async def _writer_loop(self, server: StreamServer,
-                           queue: "asyncio.Queue") -> None:
-        """Apply one session's writes in arrival order, one at a time."""
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await queue.get()
-            if item is None:
-                queue.task_done()
-                return
-            request, future = item
-            try:
-                response, _keep = await loop.run_in_executor(
-                    None, server.handle_request, request)
-            except Exception as exc:  # the daemon survives any dispatch
-                response = {"ok": False,
-                            "error": f"{type(exc).__name__}: {exc}"}
-            if not future.done():
-                future.set_result(response)
-            queue.task_done()
-
-    async def _submit_write(self, server: StreamServer,
-                            request: Dict[str, Any]
-                            ) -> Tuple[Dict[str, Any], bool]:
-        """Enqueue a mutating verb; a full queue is refused immediately."""
-        writer = self._ensure_writer(server)
-        future = asyncio.get_running_loop().create_future()
-        try:
-            writer.queue.put_nowait((request, future))
-        except asyncio.QueueFull:
+    async def _write(self, server: StreamServer,
+                     request: Dict[str, Any]) -> Dict[str, Any]:
+        """Apply a mutating verb in its session's arrival order: here
+        and now if it may run on the loop and nothing is ahead of it,
+        else through the lane (a full lane is refused immediately)."""
+        lane = self._lanes.get(server)
+        if lane is None:
+            lane = self._lanes[server] = _Lane()
+            server.backlog = lane.jobs.__len__
+        if lane.task is None:
+            response = server.handle_request(request, False)[0]
+            if response is not None:
+                return response
+        if len(lane.jobs) >= max(1, server.max_queue):
             self._m_rejected.inc(session=server.name, reason="overloaded")
             return {"ok": False, "error": "overloaded",
-                    "queue_depth": writer.queue.qsize(),
-                    "retry_after": server.retry_after}, True
-        return await future, True
+                    "queue_depth": len(lane.jobs),
+                    "retry_after": server.retry_after}
+        loop = asyncio.get_running_loop()
+        reply = loop.create_future()
+        lane.jobs.append((request, reply))
+        if lane.task is None:
+            # in a fresh context: the lane outlives this request
+            lane.task = contextvars.Context().run(
+                loop.create_task, self._drain(server, lane))
+        return await reply
+
+    async def _drain(self, server: StreamServer, lane: _Lane) -> None:
+        """Apply ``lane``'s jobs oldest first, one at a time."""
+        loop = asyncio.get_running_loop()
+        while lane.jobs:
+            request, reply = lane.jobs.popleft()
+            try:
+                response = server.handle_request(request, False)[0]
+                if response is None:    # long, or it could block: a thread
+                    response = (await loop.run_in_executor(
+                        None, server.handle_request, request))[0]
+            except Exception as exc:    # the daemon survives any dispatch
+                self._log(f"[{server.name}] lane job failed: "
+                          f"{type(exc).__name__}: {exc}")
+                response = {"ok": False,
+                            "error": f"{type(exc).__name__}: {exc}"}
+            if not reply.done():
+                reply.set_result(response)
+            await asyncio.sleep(0)  # the loop serves everyone in between
+        lane.task = None
 
     def _hub_health(self) -> Dict[str, Any]:
         open_names = self.manager.open_names()
@@ -493,7 +502,7 @@ def serve_hub_stdio(hub: AsyncSessionHub, in_stream: IO[str],
     The calling thread blocks on ``readline`` exactly like the
     single-session :func:`~repro.serve.stream.serve_stdio` (so SIGTERM
     can break the read via :class:`DrainRequested`), while a private
-    event loop on a background thread runs the hub's writer tasks.
+    event loop on a background thread runs the hub.
     Every response is written and flushed before the next read.
 
     Args:

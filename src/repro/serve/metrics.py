@@ -19,6 +19,8 @@ value and cost nothing between scrapes.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelValues = Tuple[str, ...]
@@ -52,6 +54,20 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
+def _label_key(instrument: Any, labels: Dict[str, Any]) -> LabelValues:
+    """The sample key for ``labels``: exactly the declared names, each
+    given once — checked by count and lookup, this is per request."""
+    names = instrument.label_names
+    try:
+        if len(labels) == len(names):
+            return tuple([str(labels[name]) for name in names])
+    except KeyError:
+        pass
+    raise ValueError(
+        f"{instrument.name} expects labels {names}, "
+        f"got {tuple(sorted(labels))}")
+
+
 class Counter:
     """A monotonically increasing counter, optionally labelled."""
 
@@ -70,13 +86,13 @@ class Counter:
         Every label declared at registration must be provided; extra or
         missing labels raise :class:`ValueError`.
         """
-        key = self._key(labels)
+        key = _label_key(self, labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: Any) -> float:
         """Return the current value for ``labels`` (0 if never incremented)."""
-        key = self._key(labels)
+        key = _label_key(self, labels)
         with self._lock:
             return self._values.get(key, 0)
 
@@ -84,13 +100,6 @@ class Counter:
         """Snapshot of ``(label_values, value)`` pairs, sorted by labels."""
         with self._lock:
             return sorted(self._values.items())
-
-    def _key(self, labels: Dict[str, Any]) -> LabelValues:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name} expects labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}")
-        return tuple(str(labels[name]) for name in self.label_names)
 
     def render(self) -> List[str]:
         """The exposition lines for this counter."""
@@ -115,45 +124,40 @@ class Histogram:
         self.label_names = tuple(label_names)
         self.buckets = tuple(sorted(buckets))
         self._lock = lock
-        # per label set: ([bucket counts...], sum, count)
+        # per label set: ([per-bucket counts..., beyond the last], sum,
+        # count); the exposition's cumulative counts are summed on read
         self._series: Dict[LabelValues, List[Any]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation of ``value`` under ``labels``."""
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name} expects labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}")
-        key = tuple(str(labels[name]) for name in self.label_names)
+        key = _label_key(self, labels)
+        slot = bisect_left(self.buckets, value)
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = [[0] * len(self.buckets), 0.0, 0]
+                series = [[0] * (len(self.buckets) + 1), 0.0, 0]
                 self._series[key] = series
-            counts, _, _ = series
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[index] += 1
+            series[0][slot] += 1
             series[1] += value
             series[2] += 1
 
     def snapshot(self, **labels: Any) -> Dict[str, Any]:
         """Return ``{"count", "sum", "buckets"}`` for one label set."""
-        key = tuple(str(labels[name]) for name in self.label_names)
+        key = _label_key(self, labels)
         with self._lock:
             series = self._series.get(key)
             if series is None:
                 return {"count": 0, "sum": 0.0,
                         "buckets": [0] * len(self.buckets)}
             return {"count": series[2], "sum": series[1],
-                    "buckets": list(series[0])}
+                    "buckets": list(accumulate(series[0][:-1]))}
 
     def render(self) -> List[str]:
         """The exposition lines for this histogram."""
         lines = [f"# HELP {self.name} {self.help_text}",
                  f"# TYPE {self.name} histogram"]
         with self._lock:
-            items = sorted((key, ([*s[0]], s[1], s[2]))
+            items = sorted((key, (list(accumulate(s[0][:-1])), s[1], s[2]))
                            for key, s in self._series.items())
         for values, (counts, total, count) in items:
             for bound, bucket_count in zip(self.buckets, counts):

@@ -11,9 +11,10 @@ name validation (no path tricks), lazy recovery of sessions found on
 disk, a shared :class:`~repro.serve.metrics.MetricsRegistry`, and a
 coherent ``sessions`` listing.
 
-Thread-safe: the asyncio hub opens and attaches sessions from
-executor threads; creation is serialized on one manager lock and each
-name maps to exactly one live server.
+Thread-safe: the asyncio hub opens and recovers sessions from
+executor threads (and looks up open ones from its event loop);
+creation is serialized on one manager lock and each name maps to
+exactly one live server.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class SessionManager:
             SessionError: the session is not open (use :meth:`attach`
                 to recover one from disk).
         """
-        with self._lock:
-            server = self._servers.get(name)
+        # no manager lock: the hub's loop must not park behind an ``open``
+        server = self._servers.get(name) if isinstance(name, str) else None
         if server is None:
             raise SessionError(f"session {name!r} is not open")
         return server
@@ -203,7 +204,7 @@ class SessionManager:
                 "seq": server.session.sequence,
                 "rules": server.session.num_rules,
                 "backend": server.session.backend_name,
-                "queue_depth": server._waiters,
+                "queue_depth": server.queue_depth(),
                 "draining": server.draining,
                 "watching": [p.name for p in server.session.properties],
             })

@@ -15,20 +15,16 @@ rules, every verb's request/response schema, and the error envelopes
 (``busy`` / ``overloaded`` / ``frame too large`` / ``draining``, all
 carrying ``retry_after``).
 
-Concurrency model: commands that mutate the session (``insert``,
-``remove``, ``batch``, ``watch``, ``checkpoint``, ``audit``) take the
-session's *write* lock, so updates, checkpoints and scrub steps
-serialize.  Speculative verbs (``speculate`` / ``commit`` /
-``discard``) and any request addressed to a speculative child (a
-``spec`` key) are writes too: the children share ownership structures
-with the parent copy-on-write, so their mutations must not race
-parent updates.  Read-only commands (``query``, ``violations``, ``stats``,
-``ping``) take the *read* side and run concurrently with each other —
-on backends that declare ``concurrent_read_safe`` (pure in-process
-traversals); backends whose queries fan out over worker pipes fall
-back to exclusive access.  ``health`` and ``metrics`` take no session
-lock at all, so the daemon stays observable while an update runs (or
-a shard worker is wedged).
+Concurrency model (which verb is which: :data:`VERB_CLASS`): writes
+take the session's *write* lock, so updates, checkpoints and scrub
+steps serialize; so does any request addressed to a speculative child
+(a ``spec`` key), because children share ownership structures with the
+parent copy-on-write.  Reads take the *read* side and run concurrently
+with each other — on backends that declare ``concurrent_read_safe``
+(pure in-process traversals); backends whose queries fan out over
+worker pipes fall back to exclusive access.  ``health`` and ``metrics``
+take no session lock at all, so the daemon stays observable while an
+update runs (or a shard worker is wedged).
 """
 
 from __future__ import annotations
@@ -56,15 +52,21 @@ from repro.serve.metrics import MetricsRegistry
 #: client cannot balloon the daemon's memory with one giant line.
 DEFAULT_MAX_LINE_BYTES = 1 << 20
 
-#: Commands that mutate session state and therefore need the write
-#: (exclusive) side of the session lock.  Everything else is a read.
-WRITE_CMDS = frozenset({
-    "insert", "remove", "batch", "watch", "checkpoint", "audit",
-    "speculate", "commit", "discard", "shutdown",
-})
-
-#: Commands answered without taking the session lock at all.
-LOCK_FREE_CMDS = frozenset({"health", "metrics"})
+#: The one verb-class table, read by lock selection here and by the hub's
+#: routing.  ``point``: one journaled update, which the hub may apply on
+#: its event loop (a ``"spec"``-scoped one counts as ``lane``); ``lane``:
+#: a write long by nature, always on a thread; ``read``: the shared side
+#: of the session lock (also an unknown verb's class); ``free``: no
+#: session lock; ``hub``: the hub's own — a lone :class:`StreamServer`
+#: knows only ``shutdown``, as a write.
+VERB_CLASS: Dict[str, str] = {
+    "insert": "point", "remove": "point",
+    "batch": "lane", "watch": "lane", "checkpoint": "lane", "audit": "lane",
+    "speculate": "lane", "commit": "lane", "discard": "lane",
+    "query": "read", "violations": "read", "stats": "read", "ping": "read",
+    "health": "free", "metrics": "free", "shutdown": "hub",
+    "open": "hub", "attach": "hub", "detach": "hub", "sessions": "hub",
+}
 
 
 class DrainRequested(Exception):
@@ -312,13 +314,15 @@ class StreamServer:
         self._lock = _WriteLockFacade(self._rw)
         self._log = log
         self.name = name
-        self.checkpoint_every = checkpoint_every
+        self.checkpoint_every = int(checkpoint_every)
         self.request_timeout = request_timeout
         self.max_queue = max_queue
         self.retry_after = retry_after
         self.max_line_bytes = max_line_bytes
         self._admission = threading.Lock()
         self._waiters = 0
+        #: Writes a transport (the hub) holds in front of this session.
+        self.backlog: Callable[[], int] = lambda: 0
         self._draining = False
         self._busy = False
         self._closed = False
@@ -366,6 +370,7 @@ class StreamServer:
         self._last_checkpoint = self.session.sequence
         self.scrubber = Scrubber(self.session, entries_per_step=scrub_budget)
         self._m_sequence.watch((self.name,), lambda: self.session.sequence)
+        self._m_depth.watch((self.name,), self.queue_depth)
         self._shutdown = threading.Event()
         self._ticker: Optional[threading.Thread] = None
         if checkpoint_interval:
@@ -412,6 +417,10 @@ class StreamServer:
         self._m_sequence = registry.gauge(
             "deltanet_session_sequence",
             "Current committed sequence number, by session.",
+            ("session",))
+        self._m_depth = registry.gauge(
+            "deltanet_write_queue_depth",
+            "Requests admitted and not yet answered, by session.",
             ("session",))
 
     def _background_checkpoints(self, interval: float) -> None:
@@ -481,6 +490,7 @@ class StreamServer:
             self.store.close()
             self.session.close()
         self._m_sequence.unwatch((self.name,))
+        self._m_depth.unwatch((self.name,))
 
     def request_drain(self) -> None:
         """Stop admitting work; the transport loop exits after the
@@ -534,20 +544,25 @@ class StreamServer:
             return {"ok": False, "error": f"bad JSON: {exc}"}, True
         return self.handle_request(request)
 
-    def handle_request(self, request: Any) -> Tuple[Dict[str, Any], bool]:
+    def handle_request(self, request: Any, wait: bool = True
+                       ) -> Tuple[Optional[Dict[str, Any]], bool]:
         """Admit, lock and dispatch one parsed request object.
 
         This is the transport-independent entry point (the asyncio hub
-        calls it from executor threads with already-parsed frames).
-        Lock-free commands (``health``, ``metrics``) answer
-        immediately; everything else passes admission control
-        (``max_queue`` → ``overloaded``), acquires the read or write
-        side of the session lock (``request_timeout`` → ``busy``) and
-        dispatches.
+        calls it with already-parsed frames).  Lock-free commands
+        (``health``, ``metrics``) answer immediately; everything else
+        passes admission control (``max_queue`` → ``overloaded``),
+        acquires the read or write side of the session lock
+        (``request_timeout`` → ``busy``) and dispatches.
 
         Args:
             request: the decoded JSON value; anything but an object
                 with a ``cmd`` string is answered with an error.
+            wait: ``False`` from a thread that must not block (the
+                hub's event loop): the response is ``None``, nothing
+                counted or changed, unless this is a point update that
+                cannot block or run long — no backend on worker pipes,
+                the session lock free right now, no checkpoint due.
 
         Returns:
             ``(response, keep_going)`` exactly as :meth:`handle_line`.
@@ -564,6 +579,9 @@ class StreamServer:
             return {"ok": True,
                     "metrics": self.metrics.render_text()}, \
                 not self._draining
+        if not wait and (VERB_CLASS.get(cmd) != "point" or "spec" in request
+                         or not self._reads_shared):
+            return None, True
         if self._draining:
             self._m_rejected.inc(session=self.name, reason="draining")
             return {"ok": False, "error": "draining",
@@ -575,14 +593,19 @@ class StreamServer:
                         "queue_depth": self._waiters,
                         "retry_after": self.retry_after}, True
             self._waiters += 1
-        exclusive = (cmd in WRITE_CMDS or not self._reads_shared
+        exclusive = (VERB_CLASS.get(cmd, "read") != "read"
+                     or not self._reads_shared
                      or (isinstance(request, dict) and "spec" in request))
         acquired = False
         try:
+            timeout = self.request_timeout if wait else 0
             if exclusive:
-                acquired = self._rw.acquire_write(self.request_timeout)
+                acquired = self._rw.acquire_write(timeout)
             else:
-                acquired = self._rw.acquire_read(self.request_timeout)
+                acquired = self._rw.acquire_read(timeout)
+            if not wait and not (acquired and self.checkpoint_every > (
+                    self.session.sequence + 1 - self._last_checkpoint)):
+                return None, True
             if not acquired:
                 self._m_rejected.inc(session=self.name, reason="busy")
                 return {"ok": False,
@@ -616,6 +639,10 @@ class StreamServer:
             with self._admission:
                 self._waiters -= 1
 
+    def queue_depth(self) -> int:
+        """Requests admitted and not yet answered, here or in front."""
+        return self._waiters + self.backlog()
+
     def _health(self) -> Dict[str, Any]:
         backend_health: Dict[str, Any] = {}
         getter = getattr(self.session.backend, "health", None)
@@ -636,7 +663,7 @@ class StreamServer:
             "seq": self.session.sequence,
             "backend": self.session.backend_name,
             "draining": self._draining,
-            "queue_depth": self._waiters,
+            "queue_depth": self.queue_depth(),
             "max_queue": self.max_queue,
             "request_timeout": self.request_timeout,
             "last_checkpoint": self._last_checkpoint,

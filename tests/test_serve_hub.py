@@ -3,6 +3,7 @@
 import asyncio
 import io
 import json
+import shutil
 import socket
 import threading
 import time
@@ -155,6 +156,20 @@ class TestHubVerbs:
         assert not refused["ok"] and "unknown session" in refused["error"]
         client.close()
 
+    def test_open_with_a_bad_option_is_refused_not_hung_up_on(self, hub):
+        client = hub.client()
+        for option in (dict(engine="bogus"), dict(checkpoint_every="soon"),
+                       dict(checkpoint_every=None)):
+            refused = client.request(cmd="open", session="red", **option)
+            assert not refused["ok"] and refused["error"], option
+        # a numeric string is taken as the number it spells
+        assert client.request(cmd="open", session="red",
+                              checkpoint_every="2")["ok"]
+        for rid in (1, 2, 3):
+            assert client.request(cmd="insert", rule=rule(rid))["seq"] == rid
+        assert client.request(cmd="health")["last_checkpoint"] == 2
+        client.close()
+
     def test_hub_health_detached_session_health_attached(self, hub):
         client = hub.client()
         client.request(cmd="open", session="red")
@@ -279,7 +294,6 @@ class TestBackpressure:
             opener = fixture.client()
             opener.request(cmd="open", session="red")
             server = fixture.manager.get("red")
-            writer_queue = fixture.hub._writers["red"].queue
 
             assert server._lock.acquire(timeout=5)  # wedge the session
             try:
@@ -287,14 +301,15 @@ class TestBackpressure:
                 first.send(cmd="open", session="red")
                 first.recv()
                 first.send(cmd="insert", rule=rule(1))
-                # the writer task dequeues it and blocks on the wedge
+                # the lock try fails, so it takes the lane: a thread
+                # picks it up and blocks on the wedge
                 assert wait_until(lambda: server._waiters >= 1)
 
                 second = fixture.client()
                 second.send(cmd="open", session="red")
                 second.recv()
                 second.send(cmd="insert", rule=rule(2))
-                assert wait_until(lambda: writer_queue.qsize() >= 1)
+                assert wait_until(lambda: server.backlog() >= 1)
 
                 third = fixture.client()
                 third.send(cmd="open", session="red")
@@ -308,6 +323,200 @@ class TestBackpressure:
             assert second.recv()["ok"]  # queued write follows
             for client in (first, second, third, opener):
                 client.close()
+        finally:
+            fixture.stop()
+
+
+    def test_health_sessions_and_metrics_show_the_lane_backlog(
+            self, tmp_path):
+        fixture = HubFixture(str(tmp_path / "root"))
+        try:
+            probe = fixture.client()
+            probe.request(cmd="open", session="red")
+            server = fixture.manager.get("red")
+            writers = []
+            assert server._lock.acquire(timeout=5)  # wedge the session
+            try:
+                for rid in (1, 2, 3):
+                    writer = fixture.client()
+                    writer.request(cmd="attach", session="red")
+                    writer.send(cmd="insert", rule=rule(rid))
+                    writers.append(writer)
+                    # the first blocks on the wedge, two queue behind it
+                    assert wait_until(lambda: server._waiters == 1
+                                      and server.backlog() == rid - 1)
+                assert probe.request(cmd="health")["queue_depth"] == 3
+                (listed,) = probe.request(cmd="sessions")["sessions"]
+                assert listed["queue_depth"] == 3
+                text = probe.request(cmd="metrics", session=None)["metrics"]
+                assert 'deltanet_write_queue_depth{session="red"} 3' in text
+            finally:
+                server._lock.release()
+            assert [writer.recv()["seq"] for writer in writers] == [1, 2, 3]
+            assert probe.request(cmd="health")["queue_depth"] == 0
+            for client in writers + [probe]:
+                client.close()
+        finally:
+            fixture.stop()
+
+
+def bulk_rules(count, first_rid=1000):
+    """``count`` scattered /16-ish rules over a 40-node graph."""
+    return [rule(first_rid + i, lo=(i * 2654435761) % (2 ** 32 - 70000),
+                 hi=(i * 2654435761) % (2 ** 32 - 70000) + 1 + i % 65536,
+                 source=f"n{i % 40}", target=f"n{(i * 7 + 1) % 40}")
+            for i in range(count)]
+
+
+class TestInlineWrites:
+    """Point updates run on the loop; the loop itself never waits."""
+
+    def test_loop_answers_while_a_lane_works_and_a_session_is_held(
+            self, tmp_path):
+        fixture = HubFixture(str(tmp_path / "root"),
+                             defaults=dict(width=32, properties=()))
+        try:
+            big, held, other = (fixture.client() for _ in range(3))
+            big.request(cmd="open", session="big")
+            held.request(cmd="open", session="held")
+            other.request(cmd="open", session="other")
+            rules = bulk_rules(20_000)
+            for start in range(0, len(rules), 5_000):
+                assert big.request(
+                    cmd="batch", insert=rules[start:start + 5_000])["ok"]
+            held_server = fixture.manager.get("held")
+            big_server = fixture.manager.get("big")
+
+            def timed(client, **request):
+                begin = time.monotonic()
+                response = client.request(**request)
+                return response, time.monotonic() - begin
+
+            assert held_server._lock.acquire(timeout=5)
+            try:
+                big.send(cmd="checkpoint")      # ~0.4 s on the lane
+                held.send(cmd="insert", rule=rule(1))
+                assert wait_until(lambda: held_server._waiters == 1)
+                probes = [
+                    timed(other, cmd="health", session=None),
+                    timed(other, cmd="health", session="held"),
+                    timed(other, cmd="health", session="big"),
+                    timed(other, cmd="insert", rule=rule(2)),
+                ]
+                # still busy: the probes were answered beside the work
+                assert fixture.hub._lanes[big_server].task is not None
+                assert held_server.session.sequence == 0
+                for response, seconds in probes:
+                    assert response["ok"], response
+                    assert seconds < 0.1, (response, seconds)
+                assert probes[1][0]["queue_depth"] == 1
+            finally:
+                held_server._lock.release()
+            assert held.recv()["seq"] == 1      # the lane finished it
+            assert big.recv()["seq"] == 20_000
+            for client in (big, held, other):
+                client.close()
+        finally:
+            fixture.stop()
+
+    def test_periodic_checkpoint_is_written_off_the_loop(self, tmp_path):
+        from repro.persist import SessionStore
+
+        root = tmp_path / "root"
+        fixture = HubFixture(str(root), defaults=dict(
+            width=8, properties=(), checkpoint_every=5))
+        try:
+            client = fixture.client()
+            client.request(cmd="open", session="red")
+            server = fixture.manager.get("red")
+            snapshot, threads = server._checkpoint, []
+
+            def recording_checkpoint():
+                threads.append(threading.current_thread())
+                return snapshot()
+
+            server._checkpoint = recording_checkpoint
+            for rid in range(1, 13):
+                assert client.request(cmd="insert",
+                                      rule=rule(rid))["seq"] == rid
+            # The update that makes a snapshot due takes the lane whole:
+            # its reply follows the snapshot, as on every other transport.
+            assert client.request(cmd="health")["last_checkpoint"] == 10
+            assert len(threads) == 2 and fixture.thread not in threads
+            digest = client.request(cmd="stats")["stats"]["state_digest"]
+            # A crash: what is on disk now, with no close() behind it.
+            crashed = tmp_path / "crashed"
+            shutil.copytree(str(root / "red"), str(crashed))
+            session, info = SessionStore(str(crashed)).recover()
+            assert info.snapshot_sequence >= 10
+            assert (info.sequence, session.state_digest()) == (12, digest)
+            session.close()
+            client.close()
+        finally:
+            fixture.stop()
+
+    def test_worker_backed_session_never_writes_on_the_loop(self, tmp_path):
+        # A point update of a backend that waits on worker pipes must not
+        # hold the loop: a blackholed shard costs that tenant its
+        # deadline, and nobody else anything.
+        from repro.faults import Fault, FaultInjector, drop, installed
+
+        fixture = HubFixture(str(tmp_path / "root"))
+        try:
+            fixture.manager.open("par", engine="parallel", shards=2,
+                                 deadline=1.0)
+            par, other = fixture.client(), fixture.client()
+            assert par.request(cmd="attach", session="par")["ok"]
+            other.request(cmd="open", session="other")
+            assert par.request(cmd="insert", rule=rule(1))["seq"] == 1
+            injector = FaultInjector([Fault("parallel.pipe.send", drop)])
+            with installed(injector):
+                par.send(cmd="insert", rule=rule(2))
+                assert wait_until(lambda: injector.fired)
+                for request in (dict(cmd="health", session=None),
+                                dict(cmd="health", session="par"),
+                                dict(cmd="insert", rule=rule(3))):
+                    begin = time.monotonic()
+                    assert other.request(**request)["ok"]
+                    assert time.monotonic() - begin < 0.1, request
+                assert fixture.manager.get("par").session.sequence == 1
+            assert par.recv()["seq"] == 2       # the worker was restarted
+            health = par.request(cmd="health")
+            assert health["workers"]["restarts"] >= 1
+            for client in (par, other):
+                client.close()
+        finally:
+            fixture.stop()
+
+    def test_session_found_only_on_disk_is_recovered_on_first_use(
+            self, tmp_path):
+        root = str(tmp_path / "root")
+        with SessionManager(root, defaults=dict(width=8, properties=())) \
+                as before:
+            for name in ("cold", "colder"):
+                before.open(name).handle_request(
+                    {"cmd": "insert", "rule": rule(1)})
+        fixture = HubFixture(root)
+        try:
+            client = fixture.client()
+            assert fixture.manager.open_names() == []
+            attached = client.request(cmd="attach", session="cold")
+            assert attached == {"ok": True, "session": "cold", "seq": 1,
+                                "backend": "deltanet", "recovered": True}
+            # ... and through a per-request "session", with no attach
+            listed = client.request(cmd="query", what="rules",
+                                    session="colder")
+            assert listed["result"] == [1]
+            assert client.request(cmd="insert", rule=rule(2),
+                                  session="colder")["seq"] == 2
+            for request in (dict(cmd="attach", session="ghost"),
+                            dict(cmd="insert", rule=rule(3),
+                                 session="ghost")):
+                assert client.request(**request) == {
+                    "ok": False,
+                    "error": "unknown session 'ghost'; open it first "
+                             "(known: cold, colder)"}
+            client.close()
         finally:
             fixture.stop()
 

@@ -50,6 +50,23 @@ class TestHistogram:
         assert snap["count"] == 4
         assert snap["sum"] == pytest.approx(5.555)
 
+    def test_bucket_bounds_are_inclusive_as_in_a_walk_of_every_bound(
+            self, registry):
+        histogram = registry.histogram("h_seconds", "help", ())
+        values = [0.0, 0.0001, 0.00011, 0.001, 0.0025, 0.3, 2.5, 2.6, 99.0]
+        for value in values:
+            histogram.observe(value)
+        walked = [sum(1 for value in values if value <= bound)
+                  for bound in DEFAULT_BUCKETS]
+        assert histogram.snapshot()["buckets"] == walked
+        bucket_lines = [line for line in histogram.render()
+                        if line.startswith("h_seconds_bucket")]
+        assert bucket_lines[:3] == ['h_seconds_bucket{le="0.0001"} 2',
+                                    'h_seconds_bucket{le="0.00025"} 3',
+                                    'h_seconds_bucket{le="0.0005"} 3']
+        assert bucket_lines[-2:] == ['h_seconds_bucket{le="2.5"} 7',
+                                     'h_seconds_bucket{le="+Inf"} 9']
+
     def test_render_has_inf_sum_and_count(self, registry):
         histogram = registry.histogram("h_seconds", "help", (),
                                        buckets=(0.5,))

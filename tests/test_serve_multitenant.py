@@ -7,6 +7,7 @@ operations — any rule or digest contribution that leaked across the
 session boundary breaks the equality.
 """
 
+import random
 import threading
 
 import pytest
@@ -167,6 +168,116 @@ class TestHubTcp:
                 assert listed["result"] == rules
                 if digest is not None:
                     assert stats["stats"]["state_digest"] == digest
+            opener.close()
+        finally:
+            fixture.stop()
+
+
+class TestArrivalOrder:
+    """One session, several connections, inline and lane writes mixed."""
+
+    CONNECTIONS = 4
+    REQUESTS_EACH = 60
+
+    def requests_for(self, index):
+        """A seeded mix over a shared rid pool, so every outcome (ok,
+        duplicate, unknown rid) depends on the order the hub applies."""
+        rng = random.Random(index)
+        requests = []
+        for number in range(self.REQUESTS_EACH):
+            tag = index * 1000 + number
+            kind = rng.choice(["insert"] * 4 + ["remove"] * 3
+                              + ["batch", "checkpoint"])
+            if kind == "insert":
+                rid = rng.randrange(12)
+                request = dict(cmd="insert", rule=rule(
+                    rid, rid + 1, rid, rid + 20, f"s{rid % 3}", "t"))
+            elif kind == "remove":
+                request = dict(cmd="remove", rid=rng.randrange(12))
+            elif kind == "batch":
+                request = dict(cmd="batch", insert=[rule(
+                    100 + tag * 2 + i, 100 + tag * 2 + i, i, i + 9,
+                    f"s{index}", "t") for i in range(2)])
+            else:
+                request = dict(cmd="checkpoint")
+            requests.append(dict(request, tag=tag))
+        return requests
+
+    def test_replies_follow_arrival_order_and_match_a_serial_replay(
+            self, tmp_path):
+        fixture = HubFixture(str(tmp_path / "root"),
+                             defaults=dict(width=WIDTH, properties=()))
+        try:
+            opener = fixture.client()
+            opener.request(cmd="open", session="red")
+            server = fixture.manager.get("red")
+            arrived, waited, inline, replies, failures = [], [], [], {}, []
+
+            handle_request = fixture.hub.handle_request
+
+            async def recording_hub(conn, request):
+                if "tag" in request:
+                    arrived.append(request)
+                    lane = fixture.hub._lanes.get(server)
+                    waited.append(lane is not None
+                                  and lane.task is not None)
+                return await handle_request(conn, request)
+
+            dispatch = server.handle_request
+
+            def recording_server(request, wait=True):
+                outcome = dispatch(request, wait)
+                if request["cmd"] in ("insert", "remove") \
+                        and outcome[0] is not None:
+                    inline.append(not wait)
+                return outcome
+
+            fixture.hub.handle_request = recording_hub
+            server.handle_request = recording_server
+
+            def run(index):
+                client = fixture.client()
+                try:
+                    client.request(cmd="attach", session="red")
+                    for request in self.requests_for(index):
+                        replies[request["tag"]] = client.request(**request)
+                except Exception as exc:
+                    failures.append(exc)
+                finally:
+                    client.close()
+
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(self.CONNECTIONS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not failures, failures
+            assert len(arrived) == self.CONNECTIONS * self.REQUESTS_EACH
+            # Writes found the lane idle and found it busy, and point
+            # updates ran on the loop.
+            assert any(waited) and not all(waited)
+            assert any(inline)
+
+            replay = StreamServer(str(tmp_path / "replay"), width=WIDTH,
+                                  properties=())
+            try:
+                previous = 0
+                for request in arrived:
+                    expected, _ = replay.handle_request(request)
+                    reply = dict(replies[request["tag"]])
+                    for response in (expected, reply):
+                        response.pop("latency_us", None)
+                    assert reply == expected, request
+                    if reply["ok"] and request["cmd"] != "checkpoint":
+                        assert reply["seq"] > previous, request
+                        previous = reply["seq"]
+                digest = replay.session.state_digest()
+            finally:
+                replay.close()
+            stats = opener.request(cmd="stats")["stats"]
+            assert (stats["sequence"], stats["state_digest"]) == (
+                previous, digest)
             opener.close()
         finally:
             fixture.stop()

@@ -13,9 +13,9 @@ import asyncio
 
 import pytest
 
-from repro.serve.aio import HUB_WRITE_CMDS, AsyncSessionHub
+from repro.serve.aio import AsyncSessionHub
 from repro.serve.sessions import SessionManager
-from repro.serve.stream import StreamServer, WRITE_CMDS
+from repro.serve.stream import StreamServer, VERB_CLASS
 
 
 def _rule(rid, source, target, lo=0, hi=128, priority=10):
@@ -48,8 +48,18 @@ def seed_ring_minus_one(server):
 
 class TestVerbTables:
     def test_speculative_verbs_are_writes(self):
-        assert {"speculate", "commit", "discard"} <= WRITE_CMDS
-        assert {"speculate", "commit", "discard"} <= HUB_WRITE_CMDS
+        # ... and never point writes: a child shares structure with its
+        # parent, so forking and folding it back is not event-loop work.
+        assert {VERB_CLASS[verb] for verb in
+                ("speculate", "commit", "discard")} == {"lane"}
+
+
+    def test_every_session_verb_in_the_table_is_one_the_server_knows(
+            self, server):
+        for verb, kind in VERB_CLASS.items():
+            response = req(server, {"cmd": verb})
+            known = "unknown cmd" not in response.get("error", "")
+            assert known == (kind != "hub" or verb == "shutdown"), verb
 
 
 class TestTypedQueryEnvelope:
