@@ -103,12 +103,11 @@ class DeltaNetBackend(BackendAdapter):
     #: serving layer to run from concurrent reader threads.
     concurrent_read_safe = True
 
-    def __init__(self, width: int = 32, gc: bool = False,
-                 seed: int = 0x5EED) -> None:
+    def __init__(self, width: int = 32, gc: bool = False) -> None:
         super().__init__(width=width)
         from repro.core.deltanet import DeltaNet
 
-        self._adopt(DeltaNet(width=width, gc=gc, seed=seed))
+        self._adopt(DeltaNet(width=width, gc=gc))
 
     def _adopt(self, native) -> None:
         """Bind the adapter (and its one loop checker) to ``native``."""

@@ -6,6 +6,11 @@ bounds of every rule's IP prefix.  They are maintained in an ordered map
 atom ``alpha`` is the interval ``[n : n')`` where ``n'`` is the next
 greater key in ``M``.
 
+``M`` is stored as blocks of two parallel sorted lists — boundaries, and
+the atom id beside each — of at most ``2 * LOAD`` entries, under a sorted
+list of the blocks' least boundaries.  A search is two C ``bisect`` calls,
+the atoms of an interval are a list slice, and a split shifts one block.
+
 Identifiers are consecutive integers starting at zero, which lets edge
 labels be plain sets (or bitmasks) of small ints.  ``M`` is seeded with
 ``MIN -> alpha_0`` and ``MAX -> alpha_inf`` where :data:`ATOM_INF` is a
@@ -24,27 +29,34 @@ be merged back into its predecessor and its identifier recycled.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.integrity.digest import BoundaryDigest, digests_enabled
-from repro.structures.treap import TreapMap
 
 #: Sentinel identifier for the greatest atom (paper's alpha-infinity).
 ATOM_INF = -1
+
+#: A block of ``M`` holds at most ``2 * LOAD`` boundaries; one that grows
+#: past that halves.  Bounds what a split shifts, whatever ``M``'s size.
+LOAD = 512
 
 
 class AtomTable:
     """Maintains the ordered boundary map ``M`` and atom identities."""
 
-    def __init__(self, width: int = 32, seed: int = 0x5EED) -> None:
+    def __init__(self, width: int = 32) -> None:
         if width <= 0:
             raise ValueError(f"field width must be positive, got {width}")
         self.width = width
         self.min = 0
         self.max = 1 << width
-        self._map = TreapMap(seed=seed)
-        self._map.insert(self.min, 0)
-        self._map.insert(self.max, ATOM_INF)
+        # M: block b holds boundaries _keys[b] (sorted) with the atom ids
+        # _vals[b] beside them; _mins[b] == _keys[b][0].  MIN stays in
+        # the first block and MAX in the last, so neither ever empties.
+        self._keys: List[List[int]] = [[self.min, self.max]]
+        self._vals: List[List[int]] = [[0, ATOM_INF]]
+        self._mins: List[int] = [self.min]
         #: Incremental ``(boundary, atom)`` digest over ``M`` (sentinels
         #: included); ``None`` when ``DELTANET_DIGESTS=0``.
         self.digest = BoundaryDigest() if digests_enabled() else None
@@ -55,12 +67,29 @@ class AtomTable:
         self._free: List[int] = []           # recycled ids (GC mode)
         self._bound_refs: Dict[int, int] = {}  # boundary -> #rules using it
 
+    # -- the ordered map ---------------------------------------------------------
+
+    def _floor(self, bound: int) -> Tuple[int, int]:
+        """``(block, position)`` of the greatest boundary ``<= bound``."""
+        block = bisect_right(self._mins, bound) - 1
+        return block, bisect_right(self._keys[block], bound) - 1
+
+    def _succ(self, block: int, pos: int) -> int:
+        """The boundary after the one at ``(block, pos)``."""
+        keys = self._keys[block]
+        return keys[pos + 1] if pos + 1 < len(keys) else self._mins[block + 1]
+
+    def _items(self) -> Iterator[Tuple[int, int]]:
+        """Every ``(boundary, atom)`` of ``M``, ascending, MAX included."""
+        for keys, vals in zip(self._keys, self._vals):
+            yield from zip(keys, vals)
+
     # -- basic accessors -----------------------------------------------------
 
     @property
     def num_atoms(self) -> int:
         """Number of live atoms (size of ``M`` minus the MAX sentinel)."""
-        return len(self._map) - 1
+        return len(self._start) - len(self._free)
 
     @property
     def num_ids_allocated(self) -> int:
@@ -70,31 +99,39 @@ class AtomTable:
     def atom_interval(self, atom: int) -> Tuple[int, int]:
         """The half-closed interval currently denoted by ``atom``."""
         start = self._start[atom]
-        if self._map.get(start) != atom:
+        block, pos = self._floor(start)
+        if self._keys[block][pos] != start or self._vals[block][pos] != atom:
             raise KeyError(f"atom {atom} is dead")
-        return start, self._map.succ_key(start)
+        return start, self._succ(block, pos)
 
     def atom_at(self, point: int) -> int:
         """Identifier of the atom containing ``point``."""
         if not self.min <= point < self.max:
             raise ValueError(f"point {point} outside [{self.min}, {self.max})")
-        _key, atom = self._map.floor_item(point)
-        return atom
+        block, pos = self._floor(point)
+        return self._vals[block][pos]
 
-    def atoms_in(self, lo: int, hi: int) -> Iterator[int]:
-        """Atoms collectively representing ``[lo : hi)``.
+    def atoms_in(self, lo: int, hi: int) -> List[int]:
+        """Atoms collectively representing ``[lo : hi)``, in address order.
 
         ``lo`` and ``hi`` must already be boundaries in ``M`` (i.e. after
         ``create_atoms(lo, hi)``); this is exactly ``[[interval(r)]]``.
         """
-        for _key, atom in self._map.iritems(lo, hi):
-            yield atom
+        block = bisect_right(self._mins, lo) - 1
+        keys = self._keys[block]
+        pos = bisect_left(keys, lo)
+        end = bisect_left(keys, hi, pos)
+        atoms = self._vals[block][pos:end]
+        if end == len(keys):  # the interval runs on into later blocks
+            for block in range(block + 1, len(self._keys)):
+                keys = self._keys[block]
+                end = bisect_left(keys, hi)
+                atoms += self._vals[block][:end]
+                if end < len(keys):
+                    break
+        return atoms
 
-    def atoms_in_list(self, lo: int, hi: int) -> List[int]:
-        """:meth:`atoms_in` materialized eagerly (the hot-path variant)."""
-        return self._map.range_values(lo, hi)
-
-    def overlapping(self, lo: int, hi: int) -> Iterator[int]:
+    def overlapping(self, lo: int, hi: int) -> List[int]:
         """All atoms whose interval intersects ``[lo : hi)``.
 
         Unlike :meth:`atoms_in`, the bounds need not be existing
@@ -103,37 +140,46 @@ class AtomTable:
         """
         if not self.min <= lo < hi <= self.max:
             raise ValueError(f"interval [{lo}:{hi}) out of range")
-        start = self._map.floor_key(lo)
-        for _key, atom in self._map.iritems(start, hi):
-            yield atom
+        block, pos = self._floor(lo)
+        return self.atoms_in(self._keys[block][pos], hi)
 
     def intervals(self) -> Iterator[Tuple[int, Tuple[int, int]]]:
         """All live ``(atom, (lo, hi))`` pairs in ascending interval order."""
-        items = list(self._map.items())
+        items = list(self._items())
         for (lo, atom), (hi, _next_atom) in zip(items, items[1:]):
             yield atom, (lo, hi)
 
     def boundaries(self) -> List[int]:
-        return list(self._map.keys())
+        return [bound for keys in self._keys for bound in keys]
 
     # -- CREATE_ATOMS+ (Algorithm 1, line 2) ----------------------------------
 
     def peek_splits(self, lo: int, hi: int) -> List[Tuple[int, Tuple[int, int]]]:
-        """Preview which atoms ``create_atoms(lo, hi)`` would split.
+        """Preview the splits ``create_atoms(lo, hi)`` would make.
 
-        Returns ``(atom, (atom_lo, atom_hi))`` for each existing atom a new
-        boundary would fall inside, *without* mutating the table.  Useful
-        for inspection; unlike :meth:`create_atoms` it is safe to call on
-        a table owned by a live :class:`~repro.core.deltanet.DeltaNet`.
+        Returns one ``(atom, (atom_lo, atom_hi))`` per boundary that is
+        missing — the atom it would cut and the interval that atom has at
+        that moment — in :meth:`create_atoms`' order and with its ids,
+        *without* mutating the table: when both bounds fall inside one
+        atom, ``hi`` cuts the fresh atom ``lo`` has just split off.
+        Useful for inspection; unlike :meth:`create_atoms` it is safe to
+        call on a table owned by a live
+        :class:`~repro.core.deltanet.DeltaNet`.
         """
         if not self.min <= lo < hi <= self.max:
             raise ValueError(
                 f"interval [{lo}:{hi}) outside [{self.min}, {self.max})")
         splits: List[Tuple[int, Tuple[int, int]]] = []
         for bound in (lo, hi):
-            if bound not in self._map:
-                _key, atom = self._map.floor_item(bound)
-                splits.append((atom, self.atom_interval(atom)))
+            block, pos = self._floor(bound)
+            start = self._keys[block][pos]
+            if start == bound:
+                continue
+            atom = self._vals[block][pos]
+            if splits and splits[0][0] == atom:
+                atom = self._free[-1] if self._free else len(self._start)
+                start = lo
+            splits.append((atom, (start, self._succ(block, pos))))
         return splits
 
     def create_atoms(self, lo: int, hi: int) -> List[Tuple[int, int]]:
@@ -153,14 +199,9 @@ class AtomTable:
                 f"interval [{lo}:{hi}) outside [{self.min}, {self.max})")
         delta: List[Tuple[int, int]] = []
         for bound in (lo, hi):
-            found, old_atom = self._map.floor_item(bound)
-            if found == bound:
-                continue
-            new_atom = self._alloc(bound)
-            self._map.insert(bound, new_atom)
-            if self.digest is not None:
-                self.digest.add(bound, new_atom)
-            delta.append((old_atom, new_atom))
+            pair = self._split_at(bound)
+            if pair is not None:
+                delta.append(pair)
         return delta
 
     def create_atoms_many(self, intervals: Iterable[Tuple[int, int]]
@@ -180,10 +221,7 @@ class AtomTable:
            this.
         """
         amin, amax = self.min, self.max
-        table = self._map
-        floor_item = table.floor_item
-        table_insert = table.insert
-        digest = self.digest
+        split_at = self._split_at
         delta: List[Tuple[int, int]] = []
         seen = set()
         for lo, hi in intervals:
@@ -194,24 +232,35 @@ class AtomTable:
                 if bound in seen:
                     continue
                 seen.add(bound)
-                found, old_atom = floor_item(bound)
-                if found == bound:
-                    continue
-                new_atom = self._alloc(bound)
-                table_insert(bound, new_atom)
-                if digest is not None:
-                    digest.add(bound, new_atom)
-                delta.append((old_atom, new_atom))
+                pair = split_at(bound)
+                if pair is not None:
+                    delta.append(pair)
         return delta
 
-    def _alloc(self, start: int) -> int:
+    def _split_at(self, bound: int) -> Optional[Tuple[int, int]]:
+        """Add ``bound`` to ``M`` unless present; the delta pair if added."""
+        block, pos = self._floor(bound)
+        keys, vals = self._keys[block], self._vals[block]
+        if keys[pos] == bound:
+            return None
+        old_atom = vals[pos]
+        pos += 1
         if self._free:
-            atom = self._free.pop()
-            self._start[atom] = start
-            return atom
-        atom = len(self._start)
-        self._start.append(start)
-        return atom
+            new_atom = self._free.pop()
+            self._start[new_atom] = bound
+        else:
+            new_atom = len(self._start)
+            self._start.append(bound)
+        keys.insert(pos, bound)
+        vals.insert(pos, new_atom)
+        if len(keys) > 2 * LOAD:
+            self._keys.insert(block + 1, keys[LOAD:])
+            self._vals.insert(block + 1, vals[LOAD:])
+            self._mins.insert(block + 1, keys[LOAD])
+            del keys[LOAD:], vals[LOAD:]
+        if self.digest is not None:
+            self.digest.add(bound, new_atom)
+        return old_atom, new_atom
 
     # -- reference counting & garbage collection (§3.2.2 remark) --------------
 
@@ -242,15 +291,23 @@ class AtomTable:
         """Remove boundary ``bound``, merging its atom into the predecessor.
 
         Returns ``(dead_atom, surviving_atom)``.  The caller must erase
-        ``dead_atom`` from all labels/owner structures *before* calling
-        (see :meth:`repro.core.deltanet.DeltaNet._collect_atom`).
+        ``dead_atom`` from all labels/owner structures before the next
+        split recycles its id (see
+        :meth:`repro.core.deltanet.DeltaNet._collect_atom`).
         """
-        atom = self._map.get(bound)
-        if atom is None or bound in (self.min, self.max):
+        if not self.min < bound < self.max:
             raise KeyError(f"boundary {bound} not collectable")
-        prev_key = self._map.floor_key(bound - 1)
-        survivor = self._map[prev_key]
-        self._map.remove(bound)
+        block, pos = self._floor(bound)
+        keys, vals = self._keys[block], self._vals[block]
+        if keys[pos] != bound:
+            raise KeyError(f"boundary {bound} not collectable")
+        atom = vals[pos]
+        survivor = vals[pos - 1] if pos else self._vals[block - 1][-1]
+        del keys[pos], vals[pos]
+        if not keys:
+            del self._keys[block], self._vals[block], self._mins[block]
+        elif pos == 0:
+            self._mins[block] = keys[0]
         if self.digest is not None:
             self.digest.remove(bound, atom)
         self._free.append(atom)
@@ -259,18 +316,17 @@ class AtomTable:
     def copy(self) -> "AtomTable":
         """An independent copy in O(boundaries) — the speculative-fork path.
 
-        The boundary treap is copied structurally (shape and future
-        priority draws match, so a committed speculation replays into
-        identical atom ids), allocation and GC bookkeeping are
-        duplicated, and the incremental digest's accumulator rides along
-        when enabled.  Far cheaper than :meth:`from_state`, which
-        re-inserts every boundary.
+        Block lists, allocation and GC bookkeeping are duplicated (so a
+        committed speculation replays into identical atom ids), and the
+        incremental digest's accumulator rides along when enabled.
         """
         dup = AtomTable.__new__(AtomTable)
         dup.width = self.width
         dup.min = self.min
         dup.max = self.max
-        dup._map = self._map.copy()
+        dup._keys = [list(keys) for keys in self._keys]
+        dup._vals = [list(vals) for vals in self._vals]
+        dup._mins = list(self._mins)
         if self.digest is None:
             dup.digest = None
         else:
@@ -287,51 +343,79 @@ class AtomTable:
         """A from-scratch :class:`BoundaryDigest` of ``M`` (scrub
         reference), independent of the incremental :attr:`digest`."""
         fresh = BoundaryDigest()
-        for bound, atom in self._map.items():
+        for bound, atom in self._items():
             fresh.add(bound, atom)
         return fresh
+
+    def check_blocks(self) -> None:
+        """Assert the block layout's invariants (test oracles only)."""
+        assert len(self._keys) == len(self._vals) == len(self._mins)
+        for keys, vals, least in zip(self._keys, self._vals, self._mins):
+            assert 0 < len(keys) == len(vals) <= 2 * LOAD, len(keys)
+            assert keys[0] == least, "minima index out of step with a block"
+        bounds = self.boundaries()
+        assert bounds[0] == self.min and bounds[-1] == self.max
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), "M not sorted"
+        assert len(bounds) - 1 == self.num_atoms
 
     # -- persistence (see repro.persist) ---------------------------------------
 
     def state_dict(self) -> dict:
         """The table's full state as deterministic plain data.
 
-        Boundaries are emitted in ascending order, the free-id stack in
-        stack order (so restored id recycling matches exactly), and the
-        priority PRNG's state rides along so future treap shapes match
-        the original instance.
+        Boundaries are emitted in ascending order and the free-id stack
+        in stack order, so restored id recycling matches exactly.
         """
         return {
             "width": self.width,
-            "boundaries": [(bound, atom) for bound, atom in self._map.items()],
+            "boundaries": list(self._items()),
             "allocated": len(self._start),
             "free": list(self._free),
             "bound_refs": sorted(self._bound_refs.items()),
-            "rng": self._map.rng_state(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "AtomTable":
         """Rebuild a table; exact inverse of :meth:`state_dict`.
 
-        The boundary treap is re-inserted in sorted order (its *shape*
-        is an implementation detail; queries depend only on the ordered
-        content), then the PRNG state is restored so later shapes match.
+        The blocks are cut from the stored boundary list in one pass, so
+        its order is trusted and therefore checked first: a malformed
+        field raises :class:`ValueError` naming it.  A ``"rng"`` entry
+        (written up to snapshot v2) is ignored.
         """
         table = cls(width=state["width"])
-        starts = [table.min] * state["allocated"]
-        for bound, atom in state["boundaries"]:
-            if bound == table.min or bound == table.max:
-                continue  # the constructor seeded MIN/MAX already
-            table._map.insert(bound, atom)
-            if table.digest is not None:
+        bounds = [bound for bound, _atom in state["boundaries"]]
+        atoms = [atom for _bound, atom in state["boundaries"]]
+        allocated = state["allocated"]
+        free = list(state["free"])
+        if (len(bounds) < 2
+                or (bounds[0], atoms[0]) != (table.min, 0)
+                or (bounds[-1], atoms[-1]) != (table.max, ATOM_INF)
+                or any(a >= b for a, b in zip(bounds, bounds[1:]))):
+            raise ValueError("boundaries: must ascend strictly from "
+                             "MIN -> 0 to MAX -> ATOM_INF")
+        live = set(atoms[:-1])
+        if len(live) != len(atoms) - 1:
+            raise ValueError("boundaries: an atom id appears twice")
+        if not all(0 <= atom < allocated for atom in live):
+            raise ValueError(f"allocated: {allocated} ids do not cover "
+                             f"the live atoms")
+        if sorted(free) != sorted(set(range(allocated)) - live):
+            raise ValueError("free: must hold exactly the allocated ids "
+                             "that are not live")
+        cuts = range(0, len(bounds), LOAD)
+        table._keys = [bounds[cut:cut + LOAD] for cut in cuts]
+        table._vals = [atoms[cut:cut + LOAD] for cut in cuts]
+        table._mins = [keys[0] for keys in table._keys]
+        table._start = [table.min] * allocated
+        for bound, atom in zip(bounds, atoms[:-1]):
+            table._start[atom] = bound
+        if table.digest is not None:
+            for bound, atom in zip(bounds[1:-1], atoms[1:-1]):
                 table.digest.add(bound, atom)
-            starts[atom] = bound
-        table._start = starts
-        table._free = list(state["free"])
+        table._free = free
         table._bound_refs = {bound: count
                              for bound, count in state["bound_refs"]}
-        table._map.set_rng_state(tuple(state["rng"]))
         return table
 
     def __repr__(self) -> str:

@@ -53,10 +53,10 @@ _EMPTY_LABEL: FrozenSet[int] = frozenset()
 class DeltaNet:
     """Real-time data-plane verifier over IP-prefix forwarding rules."""
 
-    def __init__(self, width: int = 32, gc: bool = False, seed: int = 0x5EED) -> None:
+    def __init__(self, width: int = 32, gc: bool = False) -> None:
         self.width = width
         self.gc = gc
-        self.atoms = AtomTable(width=width, seed=seed)
+        self.atoms = AtomTable(width=width)
         #: The forwarding index owns the labels; ``self.label`` aliases
         #: its ``by_link`` dict so every reader of the label table and
         #: every checker walking ``findex.by_source`` see one state.
@@ -136,7 +136,7 @@ class DeltaNet:
             root = root.right
         return root.value.link.target
 
-    def atoms_overlapping(self, lo: int, hi: int) -> Iterator[int]:
+    def atoms_overlapping(self, lo: int, hi: int) -> List[int]:
         """All atoms whose interval intersects ``[lo : hi)``."""
         return self.atoms.overlapping(lo, hi)
 
@@ -228,7 +228,7 @@ class DeltaNet:
         label_discard = self.findex.discard
         record_add = delta_graph.record_add
         record_remove = delta_graph.record_remove
-        for atom in self.atoms.atoms_in_list(rule.lo, rule.hi):
+        for atom in self.atoms.atoms_in(rule.lo, rule.hi):
             owners = owner[atom]
             root = owners.get(source)
             if root is None:
@@ -272,7 +272,7 @@ class DeltaNet:
         label_discard = self.findex.discard
         record_add = delta_graph.record_add
         record_remove = delta_graph.record_remove
-        for atom in self.atoms.atoms_in_list(rule.lo, rule.hi):
+        for atom in self.atoms.atoms_in(rule.lo, rule.hi):
             owners = owner[atom]
             root = owners[source]
             previous_owner = pt_max(root).value
@@ -386,14 +386,14 @@ class DeltaNet:
         pt_insert = ptreap.insert
         pt_max = ptreap.max_node
         owner = self._owner
-        atoms_in_list = self.atoms.atoms_in_list
+        atoms_in = self.atoms.atoms_in
         label_add = self.findex.add
         added = delta_graph.added
         removed = delta_graph.removed
         label_discard = self.findex.discard
         record_remove = delta_graph.record_remove
         for (source, lo, hi), group in groups.items():
-            atoms = atoms_in_list(lo, hi)
+            atoms = atoms_in(lo, hi)
             if len(group) > 1:
                 self._sweep_group(source, atoms, group, delta_graph)
                 continue
@@ -491,13 +491,12 @@ class DeltaNet:
         erased from every label it appears on and its id recycled.
         Returns the collected atom id.
         """
-        dead_atom = self.atoms._map.get(bound)
+        dead_atom, _survivor = self.atoms.collect(bound)
         owners = self._owner[dead_atom]
         for source, root in owners.items():
             highest = ptreap.max_node(root).value
             self.findex.discard(highest.link, dead_atom)
         self._owner[dead_atom] = None
-        self.atoms.collect(bound)
         return dead_atom
 
     # -- integrity (see repro.integrity) --------------------------------------------
@@ -583,7 +582,7 @@ class DeltaNet:
         heap_prio = ptreap.heap_prio
         node_cls = ptreap.PNode
         pt_insert = ptreap.insert
-        atoms_in_list = net.atoms.atoms_in_list
+        atoms_in = net.atoms.atoms_in
         owner = net._owner
         for rule_state in state["rules"]:
             rule = Rule.from_state(rule_state)
@@ -591,7 +590,7 @@ class DeltaNet:
             key = rule.sort_key
             prio = heap_prio(key)
             source = rule.source
-            for atom in atoms_in_list(rule.lo, rule.hi):
+            for atom in atoms_in(rule.lo, rule.hi):
                 owners = owner[atom]
                 root = owners.get(source)
                 if root is None:
@@ -605,6 +604,7 @@ class DeltaNet:
     def check_invariants(self) -> None:
         """Assert the §3.2 data-structure invariants; O(R*K), tests only."""
         assert None not in self.nodes, "None leaked into the node set"
+        self.atoms.check_blocks()
         for atom, (lo, hi) in self.atoms.intervals():
             owners = self._owner[atom]
             assert owners is not None, f"live atom {atom} has no owner slot"

@@ -68,7 +68,7 @@ class TwoFieldDeltaNet:
     def __init__(self, widths: Tuple[int, int] = (16, 16)) -> None:
         self.widths = widths
         self.tables = (AtomTable(width=widths[0]),
-                       AtomTable(width=widths[1], seed=0xBEEF))
+                       AtomTable(width=widths[1]))
         self.label: Dict[Link, Set[Pair]] = {}
         self.rules: Dict[int, Rule2D] = {}
         # owner maps a pair atom + source to the rules covering it,
@@ -86,7 +86,7 @@ class TwoFieldDeltaNet:
 
     def _pairs_of(self, rule: Rule2D) -> Iterator[Pair]:
         (lo0, hi0), (lo1, hi1) = rule.ranges
-        atoms1 = list(self.tables[1].atoms_in(lo1, hi1))
+        atoms1 = self.tables[1].atoms_in(lo1, hi1)
         for a0 in self.tables[0].atoms_in(lo0, hi0):
             for a1 in atoms1:
                 yield (a0, a1)

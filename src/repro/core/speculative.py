@@ -17,9 +17,9 @@ replaying the child's buffered ops on the parent) or discarded outright:
   runs (O(runs)) and installs the copy in *both* index views, keeping
   the shared-object invariant ``ForwardingIndex.check_consistency``
   asserts,
-* the boundary treap is copied structurally (it is rebalanced in place,
-  so roots cannot be shared) — O(boundaries), far below the one treap
-  insert per (rule, atom) pair a clone via ``DeltaNet.from_state`` pays.
+* the boundary map's block lists are copied — O(boundaries), far below
+  the one treap insert per (rule, atom) pair a clone via
+  ``DeltaNet.from_state`` pays.
 
 A child is only coherent while its parent stays unchanged (the shared
 labels would otherwise drift silently), so the parent's ``mutations``

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.integrity.digest import BoundaryDigest, LabelDigest
+from repro.integrity.digest import LabelDigest
 
 
 class ScrubReport(dict):
@@ -190,11 +190,8 @@ class Scrubber:
             if not cursor["bounds_done"]:
                 # The boundary map is one chunk: its size is O(rules),
                 # small next to the label entries.
-                bounds_acc = BoundaryDigest()
-                count = 0
-                for bound, atom in net.atoms._map.items():
-                    bounds_acc.add(bound, atom)
-                    count += 1
+                bounds_acc = net.atoms.recompute_digest()
+                count = bounds_acc.count
                 budget -= count
                 cursor["entries"] += count
                 self.counters["entries"] += count

@@ -58,7 +58,11 @@ from repro.persist.codec import (
 MAGIC = b"DNETSNAP"
 #: Bumped on breaking changes to the container or section layouts.
 #: v2: the section CRC covers the name bytes, not just the payload.
-SNAPSHOT_VERSION = 2
+#: v3: an atom table no longer stores ``"rng"`` (the boundary treap's
+#: PRNG state; the treap is gone).  Readers before v3 index that key, so
+#: the bump makes them refuse a v3 file instead of failing inside a
+#: restore; v1/v2 files load here and their ``"rng"`` is ignored.
+SNAPSHOT_VERSION = 3
 
 Pathish = Union[str, "os.PathLike[str]"]
 

@@ -7,6 +7,7 @@ and saving the restored session reproduces the snapshot byte for byte.
 """
 
 import io
+import os
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.api import (
     BlackholeProperty, LoopProperty, ReachabilityProperty,
     VerificationSession,
 )
+from repro.core.rules import Rule
 from repro.persist.snapshot import (
     SnapshotError, dumps_session, load_session, read_snapshot,
     snapshot_info, write_snapshot,
@@ -110,6 +112,77 @@ def test_save_load_save_is_byte_identical(backend, options):
     assert dumps_session(restored) == blob
     session.close()
     restored.close()
+
+
+# -- the version-2 fixture -----------------------------------------------------
+
+#: ``dumps_session`` of ``v2_fixture_session()`` as written by commit
+#: 7cd3a97, the last to store the boundary treap's PRNG state ("rng") in
+#: the atom table: ``PYTHONPATH=<that checkout>/src python -c "from
+#: tests.persist.test_snapshot import *;
+#: open(V2_FIXTURE, 'wb').write(dumps_session(v2_fixture_session()))"``.
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                          "session_v2.snap")
+V2_FIXTURE_OPS = 110
+
+
+def v2_fixture_ops(count):
+    """The first ``count`` ops of the frozen trace behind ``V2_FIXTURE``:
+    its own generator, so no library change can move it."""
+    ops, live, state = [], [], 0x5EED
+    for rid in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        draw = state >> 24
+        if live and draw % 4 == 0:
+            ops.append(("-", live.pop(draw // 4 % len(live))))
+            continue
+        span = 1 << (draw // 4 % 7)
+        lo = (draw // 32 % 256) & ~(span - 1)
+        source = draw // 8192 % 4
+        target = (source + 1 + draw // 32768 % 3) % 4
+        ops.append(("+", Rule.forward(rid, lo, lo + span, rid * 37 % 1009,
+                                      f"s{source}", f"s{target}")))
+        live.append(rid)
+    return ops
+
+
+def v2_fixture_session(count=V2_FIXTURE_OPS):
+    session = VerificationSession("deltanet", width=8, gc=True,
+                                  properties=(LoopProperty(),))
+    apply_ops(session, v2_fixture_ops(count))
+    return session
+
+
+def atom_ids_digest_and_log(session):
+    return (session.native.atoms.state_dict(), session.state_digest(),
+            [(v.property_name, v.signature, v.detail)
+             for v in session.violations()])
+
+
+def test_version2_fixture_restores_and_continues_like_a_live_session():
+    with open(V2_FIXTURE, "rb") as stream:
+        blob = stream.read()
+    assert blob[8:10] == b"\x00\x02"
+    assert "rng" in read_snapshot(io.BytesIO(blob))["backend"]["native"]["atoms"]
+    # load_session checks the trailer digest against the restored state.
+    restored = load_session(io.BytesIO(blob), verify=True)
+    live = v2_fixture_session()
+    assert atom_ids_digest_and_log(restored) == atom_ids_digest_and_log(live)
+    assert restored.native.num_atoms > 1 and restored.violations()
+
+    suffix = v2_fixture_ops(V2_FIXTURE_OPS + 50)[V2_FIXTURE_OPS:]
+    assert apply_ops(restored, suffix) == apply_ops(live, suffix)
+    assert atom_ids_digest_and_log(restored) == atom_ids_digest_and_log(live)
+    restored.check_invariants()
+    assert dumps_session(restored) == dumps_session(live)
+
+
+def test_version3_snapshot_drops_the_treap_prng():
+    blob = dumps_session(v2_fixture_session())
+    assert blob[8:10] == b"\x00\x03"
+    assert "rng" not in read_snapshot(
+        io.BytesIO(blob))["backend"]["native"]["atoms"]
+    assert len(blob) <= os.path.getsize(V2_FIXTURE) - 3500
 
 
 def test_generic_backend_fallback_roundtrip():

@@ -12,13 +12,11 @@ import repro.core.atomset
 import repro.core.intervals
 import repro.core.prefix
 import repro.structures.ptreap
-import repro.structures.treap
 
 MODULES = [
     repro.core.intervals,
     repro.core.prefix,
     repro.structures.ptreap,
-    repro.structures.treap,
 ]
 
 
