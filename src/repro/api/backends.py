@@ -146,12 +146,6 @@ class DeltaNetBackend(BackendAdapter):
         atoms = reachable_atoms(self.native, src, dst)
         return atoms_to_interval_set(atoms, self.native.atoms)
 
-    def what_if_link_down(self, link) -> Spans:
-        from repro.checkers.whatif import link_failure_impact
-
-        impact = link_failure_impact(self.native, _as_link(link))
-        return impact.affected_intervals(self.native)
-
     def find_loops(self) -> List[Cycle]:
         return distinct_cycles(find_forwarding_loops(self.native))
 

@@ -21,7 +21,8 @@ Two entry points:
   any new loop must traverse one of the newly added ``(link, atom)``
   labels; we chase from exactly those.
 * :func:`find_forwarding_loops` — full sweep over every atom in every
-  label (used for whole-data-plane what-if analysis).
+  label, or over a given atom set from the sources owning each atom
+  (a what-if query's affected atoms).
 
 :func:`cycle_alive` answers the converse question for a loop already
 found — does any atom still flow around it — by intersecting the label
@@ -38,7 +39,7 @@ from typing import (
 from repro.core.delta_graph import DeltaGraph
 from repro.core.deltanet import DeltaNet
 from repro.core.findex import ForwardingIndex
-from repro.core.rules import DROP, Link, canonical_rotation, cycle_links
+from repro.core.rules import DROP, canonical_rotation, cycle_links
 from repro.structures.atomruns import AtomRuns
 
 
@@ -129,26 +130,30 @@ class LoopChecker:
 
 
 def find_forwarding_loops(deltanet: DeltaNet,
-                          atoms: Optional[Iterable[int]] = None,
-                          links: Optional[Iterable[Link]] = None) -> List[Loop]:
+                          atoms: Optional[Iterable[int]] = None) -> List[Loop]:
     """Exhaustive loop sweep.
 
-    ``atoms``/``links`` restrict the search (e.g. to a what-if query's
-    affected atoms and subgraph); by default every labelled atom on every
-    link is covered.
+    By default every labelled atom on every link is covered.  ``atoms``
+    restricts the search (e.g. to a what-if query's affected atoms): each
+    atom's chases then start from the sources that own it
+    (:meth:`DeltaNet.atom_links <repro.core.deltanet.DeltaNet.
+    atom_links>`), so the cost is the atoms' owners and paths, never the
+    label table; the loops come back ordered by atom, then cycle — an
+    order the state alone fixes, however it was reached.
     """
     next_hop = deltanet.next_hop
-    label = deltanet.label
-    atom_filter = set(atoms) if atoms is not None else None
     # Group starting points by atom so each functional graph is walked
     # once: every node is chased through at most once per atom.
-    starts: Dict[int, Set[object]] = {}
-    for link in (label if links is None else links):
-        bucket = label.get(link)
-        if not bucket:
-            continue
-        for atom in bucket:
-            if atom_filter is None or atom in atom_filter:
+    starts: Dict[int, Iterable[object]] = {}
+    if atoms is not None:
+        atom_links = deltanet.atom_links
+        for atom in atoms:
+            starts[atom] = [link.source for link in atom_links(atom)]
+    else:
+        for link, bucket in deltanet.label.items():
+            if not bucket:
+                continue
+            for atom in bucket:
                 starts.setdefault(atom, set()).add(link.source)
     loops: List[Loop] = []
     seen: Set[Loop] = set()
@@ -159,4 +164,6 @@ def find_forwarding_loops(deltanet: DeltaNet,
             if loop is not None and loop not in seen:
                 seen.add(loop)
                 loops.append(loop)
+    if atoms is not None:
+        loops.sort(key=lambda loop: (loop.atom, repr(loop.cycle)))
     return loops

@@ -6,8 +6,12 @@ through the network that would be affected by the failure.
 
 With Delta-net this is almost free: the affected packets are exactly
 ``label[failed_link]`` (a constant-time lookup), and the affected flow
-graph is the restriction of the edge-labelled graph to those atoms — one
-bitmask intersection per labelled link.  Veriflow, by contrast, must
+graph is the part of the edge-labelled graph those atoms use.  An atom
+flows on exactly one out-link per source that owns it, so that part is
+read off ``owner[atom]`` for the affected atoms alone
+(:meth:`DeltaNet.atom_links <repro.core.deltanet.DeltaNet.atom_links>`):
+O(Σ |owner[a]|) over the affected atoms — the size of the answer —
+however many links the network labels.  Veriflow, by contrast, must
 recompute equivalence classes and construct a forwarding graph *per EC*
 (see :meth:`repro.veriflow.verifier.VeriflowRI.whatif_link_failure`),
 which is where the orders-of-magnitude gap of Table 4 comes from.
@@ -16,10 +20,9 @@ which is where the orders-of-magnitude gap of Table 4 comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from repro.checkers.loops import Loop, find_forwarding_loops
-from repro.core.atomset import bitmask_to_atoms, label_bitmask
 from repro.core.deltanet import DeltaNet
 from repro.core.rules import Link
 
@@ -35,7 +38,8 @@ class LinkFailureImpact:
     #: every link that carries at least one affected atom, with the
     #: affected atoms it carries.
     affected_subgraph: Dict[Link, Set[int]] = field(default_factory=dict)
-    #: Forwarding loops found in the affected subgraph (optional check).
+    #: Forwarding loops the affected atoms run into (optional check),
+    #: ordered by atom, then cycle.
     loops: List[Loop] = field(default_factory=list)
 
     @property
@@ -51,19 +55,13 @@ class LinkFailureImpact:
 
 def link_failure_impact(deltanet: DeltaNet,
                         link: Union[Link, Tuple[object, object]],
-                        check_loops: bool = False,
-                        label_masks: Optional[Dict[Link, int]] = None
-                        ) -> LinkFailureImpact:
+                        check_loops: bool = False) -> LinkFailureImpact:
     """Answer the what-if query for failing ``link`` (Delta-net side).
 
-    With ``check_loops=True`` this additionally sweeps the affected
-    subgraph for forwarding loops, mirroring Table 4's "+Loops" column.
-
-    Each pairwise intersection is a word-parallel big-int AND of label
-    bitmasks.  A sweep over *all* links (:func:`sweep_all_links`) passes
-    ``label_masks``, the per-link bitmask table built once for the whole
-    sweep, so the L queries share one mask build instead of rebuilding
-    every mask L times.
+    Each affected atom adds itself to the link every owning source sends
+    it on.  With ``check_loops=True`` the affected atoms are additionally
+    chased for forwarding loops from those same sources, mirroring
+    Table 4's "+Loops" column.
     """
     if not isinstance(link, Link):
         link = Link(*link)
@@ -73,43 +71,19 @@ def link_failure_impact(deltanet: DeltaNet,
         return impact
     impact.affected_atoms = set(affected)
     subgraph = impact.affected_subgraph
-    if label_masks is not None:
-        affected_mask = label_masks.get(link)
-        if affected_mask is None:
-            affected_mask = label_bitmask(affected)
-        for other_link, atoms in deltanet.label.items():
-            if not atoms:
-                continue
-            mask = label_masks.get(other_link)
-            if mask is None:
-                mask = label_bitmask(atoms)
-            shared = mask & affected_mask
-            if shared:
-                subgraph[other_link] = bitmask_to_atoms(shared)
-    else:
-        affected_mask = label_bitmask(affected)
-        for other_link, atoms in deltanet.label.items():
-            if not atoms:
-                continue
-            shared = label_bitmask(atoms) & affected_mask
-            if shared:
-                subgraph[other_link] = bitmask_to_atoms(shared)
+    atom_links = deltanet.atom_links
+    for atom in affected:
+        for carrier in atom_links(atom):
+            bucket = subgraph.get(carrier)
+            if bucket is None:
+                bucket = subgraph[carrier] = set()
+            bucket.add(atom)
     if check_loops:
-        impact.loops = find_forwarding_loops(
-            deltanet, atoms=impact.affected_atoms,
-            links=impact.affected_subgraph.keys())
+        impact.loops = find_forwarding_loops(deltanet, atoms=affected)
     return impact
 
 
 def sweep_all_links(deltanet: DeltaNet, check_loops: bool = False) -> Dict[Link, LinkFailureImpact]:
-    """Run the what-if query for every labelled link (Table 4 workload).
-
-    The per-link bitmask table is built once here and passed down, so
-    the sweep costs one ``label_bitmask`` per link plus one AND per link
-    pair — not the O(L^2) mask rebuilds per-query calls would pay.
-    """
-    masks = {link: label_bitmask(atoms)
-             for link, atoms in deltanet.label.items() if atoms}
-    return {link: link_failure_impact(deltanet, link, check_loops=check_loops,
-                                      label_masks=masks)
+    """Run the what-if query for every labelled link (Table 4 workload)."""
+    return {link: link_failure_impact(deltanet, link, check_loops=check_loops)
             for link in list(deltanet.label)}

@@ -136,6 +136,25 @@ class DeltaNet:
             root = root.right
         return root.value.link.target
 
+    def atom_links(self, atom: int) -> List[Link]:
+        """The links that carry ``atom``: one per source owning it, the
+        link of that source's highest-priority rule (``[]`` when the atom
+        is dead or unknown).
+
+        The per-atom inverse of ``label``, read off the owner structure
+        as :meth:`next_hop` reads it — O(|owner[atom]| · log M), however
+        many links the network has.
+        """
+        owners = self._peek_owners(atom)
+        if not owners:
+            return []
+        links = []
+        for root in owners.values():
+            while root.right is not None:
+                root = root.right
+            links.append(root.value.link)
+        return links
+
     def atoms_overlapping(self, lo: int, hi: int) -> List[int]:
         """All atoms whose interval intersects ``[lo : hi)``."""
         return self.atoms.overlapping(lo, hi)

@@ -10,12 +10,12 @@ QueryResult` envelope:
 * :func:`evaluate_deltanet` / :func:`evaluate_sharded` plan against the
   live Delta-net structures directly.  The planner restricts work to the
   atom set and link subgraph the query can touch: a ``LinkDown`` query
-  ANDs the failed label's bitmask against one bitmask per labelled link
-  (built per query, O(runs) each; :func:`repro.checkers.whatif.
-  sweep_all_links` shares one mask table across its queries), a
+  reads ``owner[atom]`` for the failed link's atoms only — each owning
+  source names the one link it sends the atom on, so the affected
+  subgraph costs its own size, never one pass per labelled link — a
   ``Reachable`` query materializes masks only for links its BFS frontier
-  crosses, and the loop sweep of ``LinkDown(loops=True)`` starts only
-  from the affected atoms on the affected subgraph, following each by
+  crosses, and the loop sweep of ``LinkDown(loops=True)`` chases only
+  the affected atoms, from those same owning sources, following each by
   ``DeltaNet.next_hop``.
 
 Span results are computed through the same code paths the historical
@@ -98,9 +98,8 @@ def evaluate_sharded(sharded, query: Query, backend: str = "sharded") -> QueryRe
     Spans merge across shards; atom ids do not (each shard numbers its
     own atom universe), so ``atoms``/``subgraph`` stay ``None`` here.
     """
-    from repro.checkers.loops import distinct_cycles
+    from repro.checkers.loops import distinct_cycles, find_forwarding_loops
     from repro.checkers.reachability import reachable_atoms
-    from repro.checkers.whatif import link_failure_impact
     from repro.core.atomset import atoms_to_interval_set
     from repro.core.intervals import normalize
 
@@ -120,8 +119,8 @@ def evaluate_sharded(sharded, query: Query, backend: str = "sharded") -> QueryRe
         if query.loops:
             loops = []
             for net in sharded.nets:
-                impact = link_failure_impact(net, link, check_loops=True)
-                loops.extend(impact.loops)
+                loops.extend(find_forwarding_loops(
+                    net, atoms=net.label.get(link, ())))
             result.violations = distinct_cycles(loops)
     else:
         result.violations = distinct_cycles(sharded.find_loops())

@@ -10,7 +10,9 @@ import random
 
 import pytest
 
-from repro.api import LoopProperty, VerificationSession, available_backends
+from repro.api import (
+    LinkDown, LoopProperty, VerificationSession, available_backends,
+)
 from repro.core.rules import Rule
 
 ALL = sorted(available_backends())
@@ -91,6 +93,18 @@ class TestCrossBackendEquivalence:
             for backend, session in sessions.items():
                 assert session.what_if_link_down(link) == expected, \
                     f"{backend} disagrees on failing {link}"
+
+    @pytest.mark.parametrize("backend", ["deltanet", "sharded", "veriflow"])
+    def test_link_down_spans_are_the_links_flows(self, sessions, backend):
+        """The packets a failure affects are the ones on the link: the
+        adapter's what-if spans (Veriflow's own EC path included) and
+        the planner's ``LinkDown`` spans both equal ``flows_on``."""
+        session = sessions[backend]
+        adapter = session.backend
+        for link in sorted(set(sessions["deltanet"].links()), key=repr):
+            flows = adapter.flows_on(link)
+            assert adapter.what_if_link_down(link) == flows, link
+            assert session.query(LinkDown(link)).spans == flows, link
 
     def test_loop_violations_agree(self, sessions):
         """Same canonical loop cycles delivered on every backend."""

@@ -7,7 +7,9 @@ every update — single ops and ``apply_batch``, gc off and on, on a
 speculative child before and after it writes, per shard of a sharded
 net — and holds every checker built on the hop (``check_update``,
 ``find_forwarding_loops`` full and restricted) to the stream of its
-label-only twin in :mod:`repro.checkers.sweep`, op for op.
+label-only twin in :mod:`repro.checkers.sweep`, op for op.  The what-if
+query, which reads ``owner[atom]`` for the failed link's atoms, is held
+to the label-mask reference on every labelled link.
 """
 
 import pytest
@@ -19,11 +21,11 @@ from repro.checkers.loops import LoopChecker, find_forwarding_loops
 from repro.checkers.reachability import find_path, reachable_nodes
 from repro.checkers.whatif import link_failure_impact
 from repro.core.deltanet import DeltaNet
-from repro.core.rules import DROP, Rule
+from repro.core.rules import DROP, Link, Rule
 from repro.core.speculative import SpeculativeDeltaNet
 from repro.libra.sharding import ShardedDeltaNet, even_shards
 
-from tests.conftest import label_scan_next_hop
+from tests.conftest import label_mask_impact, label_scan_next_hop
 
 WIDTH = 8
 NODES = ["a", "b", "c", "d"]
@@ -109,6 +111,17 @@ def assert_hops_match_labels(net):
             assert hop == (rule.target if rule is not None else None)
 
 
+def assert_whatif_matches_masks(net):
+    """Owner-directed what-if == the label-mask reference, on every
+    labelled link (loops compared as lists: the order is held too)."""
+    for link in list(net.label):
+        impact = link_failure_impact(net, link, check_loops=True)
+        atoms, subgraph, loops = label_mask_impact(net, link)
+        assert impact.affected_atoms == atoms, link
+        assert impact.affected_subgraph == subgraph, link
+        assert impact.loops == loops, link
+
+
 def assert_checks_match_sweeps(net, delta):
     """Every path-following check against its label-only twin: equal as
     lists, so the order loops are delivered in is held too."""
@@ -116,11 +129,7 @@ def assert_checks_match_sweeps(net, delta):
         sweep.sweep_check_update(net, delta)
     assert find_forwarding_loops(net) == \
         sweep.sweep_find_forwarding_loops(net)
-    for link in list(net.label)[:3]:
-        impact = link_failure_impact(net, link, check_loops=True)
-        assert impact.loops == sweep.sweep_find_forwarding_loops(
-            net, atoms=impact.affected_atoms,
-            links=impact.affected_subgraph.keys())
+    assert_whatif_matches_masks(net)
     for atom, _interval in list(net.atoms.intervals())[:4]:
         trail = reachable_nodes(net, "a", atom)
         node, expected = "a", []
@@ -162,6 +171,7 @@ def test_speculative_child_chases_without_copying(gc, parent_steps,
     assert_hops_match_labels(child)
     assert find_forwarding_loops(child) == \
         sweep.sweep_find_forwarding_loops(child)
+    assert_whatif_matches_masks(child)
     assert not overlay
     child_trace = trace.fork()
     for step in child_steps:
@@ -195,6 +205,29 @@ def test_every_shard_chases_like_its_labels(gc, steps):
         assert sharded.check_update(deltas) == expected
         for net in sharded.nets:
             assert_hops_match_labels(net)
+            assert_whatif_matches_masks(net)
         assert sharded.find_loops() == [
             loop for net in sharded.nets
             for loop in sweep.sweep_find_forwarding_loops(net)]
+
+
+def test_default_route_carries_every_atom():
+    """A default route's failure affects every atom: the owner-directed
+    answer is the whole label graph, and equals the mask reference."""
+    net = DeltaNet(width=WIDTH)
+    net.insert_rule(Rule.forward(0, 0, 1 << WIDTH, 1, "a", "b"))
+    net.insert_rule(Rule.forward(1, 0, 64, 5, "b", "c"))
+    net.insert_rule(Rule.forward(2, 64, 128, 5, "b", "a"))
+    net.insert_rule(Rule.forward(3, 128, 192, 5, "b", "d"))
+    net.insert_rule(Rule.forward(4, 0, 32, 9, "c", "b"))
+    net.insert_rule(Rule.drop(5, 128, 256, 2, "d"))
+    default = Link("a", "b")
+    everything = {atom for atom, _interval in net.atoms.intervals()}
+    impact = link_failure_impact(net, default, check_loops=True)
+    assert impact.affected_atoms == everything
+    assert impact.affected_subgraph == {
+        link: set(atoms) for link, atoms in net.label.items() if atoms}
+    assert {loop.cycle for loop in impact.loops} == {("a", "b"),
+                                                     ("b", "c")}
+    assert (impact.affected_atoms, impact.affected_subgraph,
+            impact.loops) == label_mask_impact(net, default)

@@ -1,6 +1,9 @@
 """Tests for what-if link-failure queries — incl. Veriflow-RI agreement."""
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -58,6 +61,58 @@ class TestDeltaNetSide:
         net = chain_net()
         sweep = sweep_all_links(net)
         assert set(sweep) == set(net.label)
+
+
+# One atom loops round two disjoint cycles, (a, b) and (c, d); the rules
+# go in out of rule-id order, so single ops, one batch and a restore
+# build the owner dicts in different orders.
+_LOOP_ORDER_SCRIPT = """
+import io, json
+from repro.api import LinkDown, VerificationSession
+from repro.core.rules import Rule
+
+RULES = [
+    Rule.forward(7, 0, 256, 1, "d", "c"),
+    Rule.forward(3, 0, 256, 1, "a", "b"),
+    Rule.forward(5, 0, 128, 2, "c", "d"),
+    Rule.forward(1, 0, 256, 1, "b", "a"),
+    Rule.forward(4, 64, 256, 3, "b", "e"),
+    Rule.forward(2, 0, 32, 4, "e", "a"),
+    Rule.forward(6, 0, 256, 1, "e", "c"),
+]
+
+def violations(session):
+    return [[list(cycle) for cycle in
+             session.query(LinkDown(link, loops=True)).violations]
+            for link in sorted(session.links(), key=repr)]
+
+single = VerificationSession("deltanet", width=8)
+for rule in RULES:
+    single.insert(rule)
+batch = VerificationSession("deltanet", width=8)
+batch.apply_batch(RULES)
+snapshot = io.BytesIO()
+single.save(snapshot)
+snapshot.seek(0)
+loaded = VerificationSession.load(snapshot)
+print(json.dumps([violations(s) for s in (single, batch, loaded)]))
+"""
+
+
+def test_link_down_loop_order_depends_on_the_state_alone():
+    """Single ops, a batch and a save/load reach one state; each gives
+    the same ``LinkDown(loops=True).violations`` lists, under two string
+    hash seeds."""
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _LOOP_ORDER_SCRIPT],
+        env={"PYTHONHASHSEED": hash_seed,
+             "PYTHONPATH": ":".join(sys.path)},
+        capture_output=True, text=True, check=True).stdout)
+        for hash_seed in ("1", "2")]
+    single, batch, loaded = runs[0]
+    assert [["a", "b"], ["c", "d"]] in single
+    assert single == batch == loaded
+    assert runs[0] == runs[1]
 
 
 class TestAgreementWithVeriflow:

@@ -127,6 +127,32 @@ def label_scan_next_hop(net, node: object, atom: int) -> Optional[object]:
     return targets[0] if targets else None
 
 
+def label_mask_impact(net, link: Link):
+    """The what-if answer read off the label table alone:
+    ``(affected_atoms, affected_subgraph, loops)``.
+
+    The failed label's bitmask is ANDed with one bitmask per labelled
+    link, and the loops come from the label-only sweep restricted to that
+    subgraph, in the (atom, cycle) order the owner-directed
+    ``link_failure_impact`` (which reads ``owner[atom]`` instead) is
+    checked against."""
+    from repro.checkers.sweep import sweep_find_forwarding_loops
+    from repro.core.atomset import bitmask_to_atoms, label_bitmask
+
+    affected = net.label.get(link)
+    if not affected:
+        return set(), {}, []
+    affected_mask = label_bitmask(affected)
+    subgraph = {}
+    for other, atoms in net.label.items():
+        shared = label_bitmask(atoms) & affected_mask if atoms else 0
+        if shared:
+            subgraph[other] = bitmask_to_atoms(shared)
+    loops = sweep_find_forwarding_loops(net, atoms=affected, links=subgraph)
+    loops.sort(key=lambda loop: (loop.atom, repr(loop.cycle)))
+    return set(affected), subgraph, loops
+
+
 def deltanet_label_intervals(net) -> Dict[Link, List[Tuple[int, int]]]:
     """Delta-net's labels, lowered to canonical interval lists."""
     from repro.core.atomset import atoms_to_interval_set
