@@ -27,10 +27,13 @@ from repro.api.registry import (
     BackendAdapter, BackendBatch, BackendUpdate, Cycle, Spans,
     canonical_cycle, register_backend,
 )
+from repro.checkers.blackholes import find_blackholes
 from repro.checkers.loops import (
     LoopChecker, cycle_alive, distinct_cycles, find_forwarding_loops,
 )
+from repro.core.atomset import atoms_to_interval_set
 from repro.core.delta_graph import DeltaGraph
+from repro.core.intervals import normalize
 from repro.core.rules import DROP, Link, Rule, cycle_links
 
 
@@ -60,6 +63,19 @@ def _batch_updates_with_loops(inserts: List[Rule], removal_rules: List[Rule],
     if updates and loops is not None:
         updates[0].loops = list(loops)
     return updates
+
+
+def _blackhole_spans(nets) -> Dict[object, Spans]:
+    """:func:`~repro.checkers.blackholes.find_blackholes` over each net
+    (one, or the disjoint header-space slices of the shards), lowered to
+    canonical spans per node, the nodes in ``repr`` order — an order the
+    state alone fixes."""
+    spans: Dict[object, List[Tuple[int, int]]] = {}
+    for net in nets:
+        for node, atoms in find_blackholes(net).items():
+            spans.setdefault(node, []).extend(
+                atoms_to_interval_set(atoms, net.atoms))
+    return {node: normalize(spans[node]) for node in sorted(spans, key=repr)}
 
 
 def _label_loops(label: Dict[Link, Set[int]]) -> List[Cycle]:
@@ -141,13 +157,15 @@ class DeltaNetBackend(BackendAdapter):
 
     def reachable(self, src: object, dst: object) -> Spans:
         from repro.checkers.reachability import reachable_atoms
-        from repro.core.atomset import atoms_to_interval_set
 
         atoms = reachable_atoms(self.native, src, dst)
         return atoms_to_interval_set(atoms, self.native.atoms)
 
     def find_loops(self) -> List[Cycle]:
         return distinct_cycles(find_forwarding_loops(self.native))
+
+    def find_blackholes(self) -> Dict[object, Spans]:
+        return _blackhole_spans([self.native])
 
     def run_query(self, query):
         from repro.query.planner import evaluate_deltanet
@@ -274,8 +292,6 @@ class ShardedBackend(BackendAdapter):
 
     def reachable(self, src: object, dst: object) -> Spans:
         from repro.checkers.reachability import reachable_atoms
-        from repro.core.atomset import atoms_to_interval_set
-        from repro.core.intervals import normalize
 
         spans: List[Tuple[int, int]] = []
         for net in self.native.nets:
@@ -285,6 +301,9 @@ class ShardedBackend(BackendAdapter):
 
     def find_loops(self) -> List[Cycle]:
         return distinct_cycles(self.native.find_loops())
+
+    def find_blackholes(self) -> Dict[object, Spans]:
+        return _blackhole_spans(self.native.nets)
 
     def cycle_alive(self, cycle: Cycle) -> bool:
         """Atom-space liveness: alive in any shard (the slices
@@ -587,7 +606,6 @@ class VeriflowBackend(BackendAdapter):
 
     def flows_on(self, link) -> Spans:
         """Recompute, per rule on the link, the ECs that actually use it."""
-        from repro.core.intervals import normalize
         from repro.veriflow.ecs import equivalence_classes
 
         link = _as_link(link)
@@ -607,8 +625,6 @@ class VeriflowBackend(BackendAdapter):
 
     def reachable(self, src: object, dst: object) -> Spans:
         """One forwarding graph per global EC, chased from ``src``."""
-        from repro.core.intervals import normalize
-
         spans: List[Tuple[int, int]] = []
         bounds = self._boundaries()
         for lo, hi in zip(bounds, bounds[1:]):
@@ -619,8 +635,6 @@ class VeriflowBackend(BackendAdapter):
 
     def what_if_link_down(self, link) -> Spans:
         """Veriflow's expensive native what-if path (Table 4's comparison)."""
-        from repro.core.intervals import normalize
-
         graphs = self.native.whatif_link_failure(_as_link(link))
         return normalize(graph.interval for graph in graphs)
 

@@ -72,6 +72,12 @@ class Property(Protocol):
     when absent — for event-like properties that may report only the
     violations an update introduced (delivered at most once, since
     their absence from a later check means nothing).
+
+    An optional ``delta_bounded`` class attribute declares that the
+    per-update ``check`` costs on the order of the commit's delta, not
+    of the whole state; the serving layer runs a point write on its
+    event loop only when every watched property declares it (absent
+    means ``False``).
     """
 
     name: str
@@ -151,6 +157,7 @@ class LoopProperty:
 
     name = "loops"
     clears = True  # session dedup defers to the property's own
+    delta_bounded = True
 
     def __init__(self) -> None:
         self._reported: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
@@ -243,6 +250,7 @@ class BlackholeProperty:
 
     name = "blackholes"
     clears = True
+    delta_bounded = False  # re-derived from the whole state per update
 
     def __init__(self, expected_sinks: Iterable[object] = ()) -> None:
         self.expected_sinks = set(expected_sinks)
@@ -267,6 +275,7 @@ class ReachabilityProperty:
 
     name = "reachability"
     clears = True
+    delta_bounded = False  # re-derived from the whole state per update
 
     def __init__(self, src: object, dst: object,
                  expect_reachable: bool = True) -> None:
@@ -299,6 +308,7 @@ class WaypointProperty:
 
     name = "waypoint"
     clears = True
+    delta_bounded = False  # re-derived from the whole state per update
 
     def __init__(self, src: object, dst: object, waypoint: object) -> None:
         if waypoint in (src, dst):
@@ -329,6 +339,7 @@ class IsolationProperty:
 
     name = "isolation"
     clears = True
+    delta_bounded = False  # re-derived from the whole state per update
 
     def __init__(self, slice_a: Iterable[Tuple[int, int]],
                  slice_b: Iterable[Tuple[int, int]]) -> None:

@@ -1,13 +1,16 @@
 """Network-wide invariant checkers on Delta-net's edge-labelled graph.
 
-Each checker consumes the verifier's persistent
-:class:`~repro.core.findex.ForwardingIndex` — run-length labels plus
-their per-source arrangement — either incrementally (on the delta-graph
-of one rule update, §3.3 "delta-graphs") or globally (whole data-plane
-sweeps, Algorithm 3, what-if queries).  Nothing is rebuilt per check;
-the seed's rebuild-per-check implementations live on in
-:mod:`repro.checkers.sweep` as the equivalence oracle and benchmark
-baseline.
+Every checker answers one atom at a time (§3.3) by reading the owner
+structure Algorithms 1/2 maintain: :meth:`DeltaNet.next_hop
+<repro.core.deltanet.DeltaNet.next_hop>` for one hop and
+:meth:`DeltaNet.atom_links <repro.core.deltanet.DeltaNet.atom_links>` for
+an atom's links.  Loops run incrementally on the delta-graph of one rule
+update; black holes, reachability, waypoints, isolation, the full loop
+sweep and what-if queries run over the atoms in question — every live
+atom, a slice's atoms, or a failed link's.  Only Algorithm 3's all-pairs
+closure (:mod:`repro.checkers.allpairs`) works on label bitmasks, and the
+label-derived implementations in :mod:`repro.checkers.sweep` are the
+equivalence oracle that keeps the owner reads honest.
 """
 
 from repro.checkers.loops import LoopChecker, find_forwarding_loops, Loop

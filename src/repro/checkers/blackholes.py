@@ -5,9 +5,13 @@ but no rule at ``n`` forwards (or explicitly drops) it.  Explicit drop
 rules are not black holes — they are intended policy and appear in the
 graph as edges to the :data:`~repro.core.rules.DROP` sink.
 
-The per-node incoming/outgoing aggregation runs as O(runs) merges over
-the forwarding index's run-length labels — per-link, not per-atom — and
-the outgoing side comes straight from the index's per-source view.
+One pass over the live atoms, reading ``owner[atom]`` (§3.3, one atom at
+a time): each owning source's link
+(:meth:`DeltaNet.atom_links <repro.core.deltanet.DeltaNet.atom_links>`)
+delivers the atom to its target, and the atom is lost there when
+:meth:`DeltaNet.next_hop <repro.core.deltanet.DeltaNet.next_hop>` finds
+no owner at that target.  The cost is O(live atoms · owners · log M);
+the label table is never read.
 
 Expected traffic sinks (e.g. egress border switches in the SDN-IP
 scenario, or hosts) can be excluded via ``expected_sinks``.
@@ -15,35 +19,24 @@ scenario, or hosts) can be excluded via ``expected_sinks``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set
 
 from repro.core.deltanet import DeltaNet
 from repro.core.rules import DROP
-from repro.structures.atomruns import AtomRuns
 
 
 def find_blackholes(deltanet: DeltaNet,
                     expected_sinks: Iterable[object] = ()) -> Dict[object, Set[int]]:
     """Map each black-holing node to the set of atoms it swallows."""
     sinks = set(expected_sinks)
-    findex = deltanet.findex
-    # Collect each node's incoming run pairs first and normalize once
-    # per node (one sort over that node's runs) — accumulating with
-    # repeated union_update would rebuild the accumulator per link.
-    incoming: Dict[object, List[Tuple[int, int]]] = {}
-    for link, runs in findex.by_link.items():
-        if link.target != DROP and runs:
-            incoming.setdefault(link.target, []).extend(runs.runs())
+    atom_links = deltanet.atom_links
+    next_hop = deltanet.next_hop
     holes: Dict[object, Set[int]] = {}
-    for node, run_pairs in incoming.items():
-        if node in sinks:
-            continue
-        arrived = AtomRuns.from_runs(run_pairs)
-        out_pairs: List[Tuple[int, int]] = []
-        for runs in findex.out_links(node).values():
-            out_pairs.extend(runs.runs())
-        lost = (arrived.difference(AtomRuns.from_runs(out_pairs))
-                if out_pairs else arrived)
-        if lost:
-            holes[node] = set(lost)
+    for atom, _interval in deltanet.atoms.intervals():
+        for link in atom_links(atom):
+            target = link.target
+            if target == DROP or target in sinks:
+                continue
+            if next_hop(target, atom) is None:
+                holes.setdefault(target, set()).add(atom)
     return holes

@@ -1,27 +1,32 @@
 """Traffic-isolation invariant between network slices (paper §3.3).
 
 Two slices — e.g. two tenants, each owning a set of IP prefixes — are
-isolated when no link carries traffic of both.  With atoms this reduces
-to bitmask intersections per link, the "scenarios that involve many or
-all packet equivalence classes at a time" the paper motivates.
+isolated when no link carries traffic of both.  Only the atoms that
+overlap a slice can put it on a link, so each slice's atoms are read
+one at a time through
+:meth:`DeltaNet.atom_links <repro.core.deltanet.DeltaNet.atom_links>`
+(``owner[atom]``'s top rule per source): O(slice atoms · owners · log M),
+whatever the size of the label table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
-from repro.core.atomset import bitmask_to_atoms, label_bitmask
 from repro.core.deltanet import DeltaNet
 from repro.core.rules import Link
 
 
-def _slice_mask(deltanet: DeltaNet, prefixes: Iterable[Tuple[int, int]]) -> int:
-    """Atoms overlapping any of the slice's ``(lo, hi)`` intervals."""
-    mask = 0
+def _slice_links(deltanet: DeltaNet, prefixes: Iterable[Tuple[int, int]]
+                 ) -> Dict[Link, Set[int]]:
+    """``link -> the slice's atoms it carries``, for the atoms
+    overlapping any of the slice's ``(lo, hi)`` intervals."""
+    carried: Dict[Link, Set[int]] = {}
     for lo, hi in prefixes:
         for atom in deltanet.atoms_overlapping(lo, hi):
-            mask |= 1 << atom
-    return mask
+            for link in deltanet.atom_links(atom):
+                carried.setdefault(link, set()).add(atom)
+    return carried
 
 
 def check_isolation(deltanet: DeltaNet,
@@ -35,14 +40,7 @@ def check_isolation(deltanet: DeltaNet,
     is reported wherever it flows — atoms are refined by *rule* bounds,
     so if the slices themselves are rule prefixes this cannot happen.
     """
-    mask_a = _slice_mask(deltanet, slice_a)
-    mask_b = _slice_mask(deltanet, slice_b)
-    offenders: Dict[Link, Set[int]] = {}
-    for link, atoms in deltanet.label.items():
-        if not atoms:
-            continue
-        link_mask = label_bitmask(atoms)
-        shared = link_mask & mask_a, link_mask & mask_b
-        if shared[0] and shared[1]:
-            offenders[link] = bitmask_to_atoms(shared[0] | shared[1])
-    return offenders
+    carried_a = _slice_links(deltanet, slice_a)
+    carried_b = _slice_links(deltanet, slice_b)
+    return {link: atoms | carried_b[link]
+            for link, atoms in carried_a.items() if link in carried_b}

@@ -20,9 +20,10 @@ Two entry points:
   only atoms whose ownership changed can participate in a *new* loop, and
   any new loop must traverse one of the newly added ``(link, atom)``
   labels; we chase from exactly those.
-* :func:`find_forwarding_loops` — full sweep over every atom in every
-  label, or over a given atom set from the sources owning each atom
-  (a what-if query's affected atoms).
+* :func:`find_forwarding_loops` — sweep over every live atom, or over a
+  given atom set (a what-if query's affected atoms), chasing each atom
+  from the sources owning it; the loops come back sorted by atom, then
+  cycle, so a sweep's order is fixed by the state alone.
 
 :func:`cycle_alive` answers the converse question for a loop already
 found — does any atom still flow around it — by intersecting the label
@@ -32,7 +33,7 @@ runs of its links.
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
+    Callable, Iterable, List, NamedTuple, Optional, Sequence, Set,
     Tuple,
 )
 
@@ -133,37 +134,27 @@ def find_forwarding_loops(deltanet: DeltaNet,
                           atoms: Optional[Iterable[int]] = None) -> List[Loop]:
     """Exhaustive loop sweep.
 
-    By default every labelled atom on every link is covered.  ``atoms``
-    restricts the search (e.g. to a what-if query's affected atoms): each
-    atom's chases then start from the sources that own it
+    By default every live atom is covered; ``atoms`` restricts the
+    search (e.g. to a what-if query's affected atoms).  Each atom's
+    chases start from the sources that own it
     (:meth:`DeltaNet.atom_links <repro.core.deltanet.DeltaNet.
     atom_links>`), so the cost is the atoms' owners and paths, never the
     label table; the loops come back ordered by atom, then cycle — an
     order the state alone fixes, however it was reached.
     """
+    if atoms is None:
+        atoms = [atom for atom, _interval in deltanet.atoms.intervals()]
     next_hop = deltanet.next_hop
-    # Group starting points by atom so each functional graph is walked
-    # once: every node is chased through at most once per atom.
-    starts: Dict[int, Iterable[object]] = {}
-    if atoms is not None:
-        atom_links = deltanet.atom_links
-        for atom in atoms:
-            starts[atom] = [link.source for link in atom_links(atom)]
-    else:
-        for link, bucket in deltanet.label.items():
-            if not bucket:
-                continue
-            for atom in bucket:
-                starts.setdefault(atom, set()).add(link.source)
+    atom_links = deltanet.atom_links
     loops: List[Loop] = []
     seen: Set[Loop] = set()
-    for atom, sources in starts.items():
+    for atom in atoms:
+        # Every node is chased through at most once per atom.
         done: Set[object] = set()
-        for source in sources:
-            loop = _chase(next_hop, source, atom, done)
+        for link in atom_links(atom):
+            loop = _chase(next_hop, link.source, atom, done)
             if loop is not None and loop not in seen:
                 seen.add(loop)
                 loops.append(loop)
-    if atoms is not None:
-        loops.sort(key=lambda loop: (loop.atom, repr(loop.cycle)))
+    loops.sort(key=lambda loop: (loop.atom, repr(loop.cycle)))
     return loops

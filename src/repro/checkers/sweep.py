@@ -11,7 +11,8 @@ updating.
 These implementations are kept, verbatim in shape, for two jobs:
 
 * **oracle** — the property-based equivalence suites
-  (``tests/checkers/test_index_equivalence.py``) assert the index-backed
+  (``tests/checkers/test_index_equivalence.py``,
+  ``tests/checkers/test_owner_chase.py``) assert the owner-reading
   checkers return identical results on randomized rule traces,
 * **baseline** — the ``check_latency`` benchmark in
   ``benchmarks/perf_gate.py`` measures the index's speedup against them
@@ -41,16 +42,16 @@ def sweep_out_link_index(deltanet: DeltaNet) -> Dict[object, List[Link]]:
     return index
 
 
-def _sweep_next_hop(deltanet: DeltaNet, out_links: Dict[object, List[Link]],
+def _sweep_next_hop(deltanet: DeltaNet, out_index: Dict[object, List[Link]],
                     node: object, atom: int) -> Optional[object]:
-    for link in out_links.get(node, ()):
+    for link in out_index.get(node, ()):
         bucket = deltanet.label.get(link)
         if bucket and atom in bucket:
             return link.target
     return None
 
 
-def _sweep_chase(deltanet: DeltaNet, out_links: Dict[object, List[Link]],
+def _sweep_chase(deltanet: DeltaNet, out_index: Dict[object, List[Link]],
                  start: object, atom: int) -> Optional[Loop]:
     path: List[object] = []
     seen_at: Dict[object, int] = {}
@@ -60,7 +61,7 @@ def _sweep_chase(deltanet: DeltaNet, out_links: Dict[object, List[Link]],
             return Loop(atom, tuple(path[seen_at[node]:])).canonical()
         seen_at[node] = len(path)
         path.append(node)
-        node = _sweep_next_hop(deltanet, out_links, node, atom)
+        node = _sweep_next_hop(deltanet, out_index, node, atom)
     return None
 
 
@@ -69,12 +70,12 @@ def sweep_check_update(deltanet: DeltaNet,
     """The seed's ``LoopChecker.check_update``: rebuild, then chase."""
     if not delta_graph.added:
         return []
-    out_links = sweep_out_link_index(deltanet)
+    out_index = sweep_out_link_index(deltanet)
     loops: List[Loop] = []
     seen: Set[Loop] = set()
     for link, atoms in delta_graph.added.items():
         for atom in atoms:
-            loop = _sweep_chase(deltanet, out_links, link.source, atom)
+            loop = _sweep_chase(deltanet, out_index, link.source, atom)
             if loop is not None and loop not in seen:
                 seen.add(loop)
                 loops.append(loop)
@@ -85,8 +86,10 @@ def sweep_find_forwarding_loops(deltanet: DeltaNet,
                                 atoms: Optional[Iterable[int]] = None,
                                 links: Optional[Iterable[Link]] = None
                                 ) -> List[Loop]:
-    """The seed's exhaustive loop sweep."""
-    out_links = sweep_out_link_index(deltanet)
+    """The seed's exhaustive loop sweep, its loops sorted by atom, then
+    cycle (the order :func:`~repro.checkers.loops.find_forwarding_loops`
+    delivers)."""
+    out_index = sweep_out_link_index(deltanet)
     atom_filter = set(atoms) if atoms is not None else None
     link_iter = list(links) if links is not None else list(deltanet.label)
     loops: List[Loop] = []
@@ -105,18 +108,19 @@ def sweep_find_forwarding_loops(deltanet: DeltaNet,
         for source in sources:
             if source in done:
                 continue
-            loop = _sweep_chase(deltanet, out_links, source, atom)
+            loop = _sweep_chase(deltanet, out_index, source, atom)
             node: Optional[object] = source
             steps = 0
-            limit = len(sources) + len(out_links) + 2
+            limit = len(sources) + len(out_index) + 2
             while (node is not None and node != DROP and node not in done
                    and steps < limit):
                 done.add(node)
-                node = _sweep_next_hop(deltanet, out_links, node, atom)
+                node = _sweep_next_hop(deltanet, out_index, node, atom)
                 steps += 1
             if loop is not None and loop not in seen:
                 seen.add(loop)
                 loops.append(loop)
+    loops.sort(key=lambda loop: (loop.atom, repr(loop.cycle)))
     return loops
 
 

@@ -2,23 +2,19 @@
 
 ``check_waypoint(dn, src, dst, waypoint)`` returns the atoms that reach
 ``dst`` from ``src`` *without* passing through ``waypoint`` — i.e. the
-violations of "all src->dst traffic goes through the firewall".  It is a
-straightforward reachability computation on the edge-labelled graph with
-the waypoint node deleted, illustrating the paper's point (§3.3) that
-atom sets make such policy checks plain set algebra.  The masks and
-adjacency come straight off the forwarding index (the shared
-``_masks_and_adjacency`` helper), so nothing is rebuilt per check.
+violations of "all src->dst traffic goes through the firewall".  It is
+:func:`~repro.checkers.reachability.reachable_atoms`' per-atom walk with
+the walk cut at the waypoint: an atom violates when its ``next_hop``
+path from ``src`` meets ``dst`` before ``waypoint`` — O(live atoms ·
+path · log M), reading ``owner[atom]`` only.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Set
+from typing import Set
 
-from repro.checkers.reachability import _masks_and_adjacency
-from repro.core.atomset import atoms_to_bitmask, bitmask_to_atoms
+from repro.checkers.reachability import _walk
 from repro.core.deltanet import DeltaNet
-from repro.core.rules import DROP
 
 
 def check_waypoint(deltanet: DeltaNet, src: object, dst: object,
@@ -26,20 +22,12 @@ def check_waypoint(deltanet: DeltaNet, src: object, dst: object,
     """Atoms reaching ``dst`` from ``src`` while bypassing ``waypoint``."""
     if waypoint in (src, dst):
         raise ValueError("waypoint must differ from the endpoints")
-    masks, adjacency = _masks_and_adjacency(deltanet)
-    full = (1 << deltanet.atoms.num_ids_allocated) - 1
-    reached: Dict[object, int] = {src: full}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        mask = reached[node]
-        for link in adjacency.get(node, ()):
-            if link.target in (DROP, waypoint):
-                continue
-            passed = mask & masks[link]
-            fresh = passed & ~reached.get(link.target, 0)
-            if fresh:
-                reached[link.target] = reached.get(link.target, 0) | fresh
-                queue.append(link.target)
-    live = atoms_to_bitmask(a for a, _ in deltanet.atoms.intervals())
-    return bitmask_to_atoms(reached.get(dst, 0) & live)
+    leaked: Set[int] = set()
+    for atom, _interval in deltanet.atoms.intervals():
+        for node in _walk(deltanet, src, atom):
+            if node == dst:
+                leaked.add(atom)
+                break
+            if node == waypoint:
+                break
+    return leaked

@@ -2,18 +2,19 @@
 
 Incremental rule updates (Algorithms 1/2) add and discard single atoms,
 which the run-length :class:`~repro.structures.atomruns.AtomRuns` labels
-absorb at their run boundaries.  Bulk lattice operations — Algorithm 3's
-all-pairs closure, what-if queries, isolation checks — are dominated by
-unions/intersections over whole labels, for which arbitrary-precision
-integers used as bitmasks are far faster (word-parallel ``&``/``|`` in C).
+absorb at their run boundaries.  Algorithm 3's all-pairs closure is
+dominated by unions/intersections over whole labels, for which
+arbitrary-precision integers used as bitmasks are far faster
+(word-parallel ``&``/``|`` in C).
 
 This module converts between the representations and provides the
-handful of bitmask primitives the checkers need.
+handful of bitmask primitives the closure (and the label-derived sweep
+oracle) need.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Iterable, Iterator, List, Set, Tuple
 
 _CHUNK_BITS = 64
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
@@ -78,11 +79,6 @@ def label_bitmask(bucket) -> int:
     if to_bitmask is not None:
         return to_bitmask()
     return atoms_to_bitmask(bucket)
-
-
-def label_map_to_bitmasks(label: Dict[object, Set[int]]) -> Dict[object, int]:
-    """Convert a ``link -> atom container`` label map to ``link -> bitmask``."""
-    return {link: label_bitmask(atoms) for link, atoms in label.items() if atoms}
 
 
 def atoms_to_interval_set(atoms: Iterable[int], atom_table) -> List[Tuple[int, int]]:

@@ -6,14 +6,14 @@ represents the flow of *all* packets in the entire network:
 * ``label[link]`` — the atoms (packet classes) that flow along ``link``,
   i.e. the link of the highest-priority rule owning each atom, stored
   run-length compressed (:class:`~repro.structures.atomruns.AtomRuns`)
-  inside the persistent :class:`~repro.core.findex.ForwardingIndex`,
-  whose per-source view the set-at-a-time checkers walk without ever
-  rebuilding a ``source -> out-links`` map,
+  inside the :class:`~repro.core.findex.ForwardingIndex` next to its
+  digest: what a link carries,
 * ``owner[atom][source]`` — a priority-ordered BST of the rules installed
   on ``source`` whose interval contains ``atom`` (persistent treaps, so an
   atom split copies them in O(1)); its highest-priority rule is where
-  the atom goes next, which is all :meth:`DeltaNet.next_hop` — the hop
-  of every path-following check — has to read,
+  the atom goes next.  Every property checker reads only this, through
+  :meth:`DeltaNet.next_hop` (one hop) and :meth:`DeltaNet.atom_links`
+  (an atom's links), one atom at a time,
 * the atom table ``M`` (:class:`repro.core.atoms.AtomTable`).
 
 Each :meth:`DeltaNet.insert_rule` / :meth:`DeltaNet.remove_rule` call
@@ -58,8 +58,8 @@ class DeltaNet:
         self.gc = gc
         self.atoms = AtomTable(width=width)
         #: The forwarding index owns the labels; ``self.label`` aliases
-        #: its ``by_link`` dict so every reader of the label table and
-        #: every checker walking ``findex.by_source`` see one state.
+        #: its ``by_link`` dict so every reader of the label table sees
+        #: the index's one state.
         self.findex = ForwardingIndex()
         self.label: Dict[Link, AtomRuns] = self.findex.by_link
         self.rules: Dict[int, Rule] = {}
@@ -643,7 +643,6 @@ class DeltaNet:
                 expected.setdefault(highest.link, set()).add(atom)
         actual = {link: set(atoms) for link, atoms in self.label.items() if atoms}
         assert actual == expected, "label map out of sync with owner structure"
-        # The per-source chase view must mirror the labels exactly.
         self.findex.check_consistency()
         live = self.state_digest()
         assert live is None or live == self.recompute_state_digest(), (

@@ -1,29 +1,20 @@
-"""The persistent forwarding index: the labels, arranged for the checkers.
+"""The forwarding index: the edge labels and their digest, kept together.
 
-Delta-net's update path is incremental by construction (Algorithms 1/2
-touch only the modified atoms), but the seed's *check* path was not: on
-every update the loop checker rebuilt a ``source -> out-links`` map from
-the whole label table — O(E) per check.
-
-:class:`ForwardingIndex` removes that rebuild.  It owns the edge labels
-(``by_link``: one :class:`~repro.structures.atomruns.AtomRuns` per link)
-and, sharing those exact AtomRuns objects, a per-source view
-(``by_source``: ``node -> {link: AtomRuns}``).  Both views are mutated
-together by :meth:`add` / :meth:`discard`, which is what
+:class:`ForwardingIndex` owns the edge labels (``by_link``: one
+:class:`~repro.structures.atomruns.AtomRuns` per link, absent when
+empty) and the incremental ``(link, atom)`` membership digest.  Both are
+written only by :meth:`~ForwardingIndex.add` /
+:meth:`~ForwardingIndex.discard`, which
 :class:`~repro.core.deltanet.DeltaNet` calls from every label change —
-single-op and batched alike.  The set-at-a-time checkers (reachability
-masks, black holes, link-failure impact) read a node's out-links in one
-dict lookup and never touch the full edge set again.
+single-op and batched alike.
 
-The index answers "which atoms does this link carry", not "where does
-this atom go next": following ONE atom hop by hop is
-:meth:`DeltaNet.next_hop <repro.core.deltanet.DeltaNet.next_hop>`, a
-direct read of the owner structure, because finding the hop here would
-mean searching every out-link of the node for the atom.
-
-Because the per-source view stores *references* to the label AtomRuns,
-the index costs O(nodes + links) extra words on top of the labels — it
-is a second key arrangement, not a second copy.
+The index answers "which atoms does this link carry" — flows on a link,
+a what-if's failed label, a reported cycle's liveness.  Every question
+about where atoms *go* (loops, black holes, reachability, waypoints,
+isolation) reads the owner structure instead, one atom at a time
+(:meth:`DeltaNet.next_hop <repro.core.deltanet.DeltaNet.next_hop>`,
+:meth:`DeltaNet.atom_links <repro.core.deltanet.DeltaNet.atom_links>`),
+so the labels keep no second arrangement for them.
 """
 
 from __future__ import annotations
@@ -36,17 +27,14 @@ from repro.structures.atomruns import AtomRuns
 
 
 class ForwardingIndex:
-    """Edge labels plus their per-source arrangement, maintained together."""
+    """Edge labels plus their membership digest, maintained together."""
 
-    __slots__ = ("by_link", "by_source", "digest")
+    __slots__ = ("by_link", "digest")
 
     def __init__(self) -> None:
         #: ``link -> AtomRuns`` — THE label table (links with empty
         #: labels are absent, as in the seed's label dict).
         self.by_link: Dict[Link, AtomRuns] = {}
-        #: ``source -> {link: AtomRuns}`` — same AtomRuns objects,
-        #: grouped by the node the traffic leaves.
-        self.by_source: Dict[object, Dict[Link, AtomRuns]] = {}
         #: Incremental ``(link, atom)`` membership digest, maintained by
         #: every writer below in O(changed entries); ``None`` when
         #: ``DELTANET_DIGESTS=0`` (the digest-free perf baseline).
@@ -59,10 +47,6 @@ class ForwardingIndex:
         runs = self.by_link.get(link)
         if runs is None:
             runs = self.by_link[link] = AtomRuns()
-            bucket = self.by_source.get(link.source)
-            if bucket is None:
-                bucket = self.by_source[link.source] = {}
-            bucket[link] = runs
         if runs.add(atom) and self.digest is not None:
             self.digest.add(link, atom)
 
@@ -75,10 +59,6 @@ class ForwardingIndex:
             self.digest.remove(link, atom)
         if not runs:
             del self.by_link[link]
-            bucket = self.by_source[link.source]
-            del bucket[link]
-            if not bucket:
-                del self.by_source[link.source]
 
     def apply_delta(self, delta_graph) -> None:
         """Replay a :class:`~repro.core.delta_graph.DeltaGraph` into the
@@ -112,8 +92,6 @@ class ForwardingIndex:
     def set_label(self, link: Link, runs: AtomRuns) -> None:
         """Install a whole label bucket at once (snapshot restore).
 
-        Both views adopt the same ``runs`` object, preserving the
-        shared-reference invariant :meth:`check_consistency` asserts.
         Empty buckets are rejected — emptiness is represented by absence.
         """
         if not runs:
@@ -126,16 +104,6 @@ class ForwardingIndex:
                         self.digest.remove(link, atom)
             self.digest.add_runs(link, runs.runs())
         self.by_link[link] = runs
-        bucket = self.by_source.get(link.source)
-        if bucket is None:
-            bucket = self.by_source[link.source] = {}
-        bucket[link] = runs
-
-    # -- readers ---------------------------------------------------------------
-
-    def out_links(self, node: object) -> Dict[Link, AtomRuns]:
-        """The labelled out-edges of ``node`` (possibly empty, read-only)."""
-        return self.by_source.get(node) or {}
 
     # -- bulk construction / diagnostics ---------------------------------------
 
@@ -170,24 +138,11 @@ class ForwardingIndex:
                 "label_runs": runs}
 
     def check_consistency(self) -> None:
-        """Assert the two views agree exactly (tests/debugging)."""
-        flattened = {link: runs
-                     for bucket in self.by_source.values()
-                     for link, runs in bucket.items()}
-        assert set(flattened) == set(self.by_link), (
-            "by_source and by_link index different link sets")
+        """Assert emptiness is represented by absence (tests/debugging)."""
         for link, runs in self.by_link.items():
-            assert flattened[link] is runs, (
-                f"by_source holds a different AtomRuns for {link}")
             assert runs, f"empty label bucket for {link} was not dropped"
-            assert link.source in self.by_source
-        for source, bucket in self.by_source.items():
-            assert bucket, f"empty out-link bucket for {source} not dropped"
-            for link in bucket:
-                assert link.source == source
 
     def __repr__(self) -> str:
         stats = self.label_stats()
         return (f"ForwardingIndex(links={stats['links']}, "
-                f"atoms={stats['label_atoms']}, runs={stats['label_runs']}, "
-                f"sources={len(self.by_source)})")
+                f"atoms={stats['label_atoms']}, runs={stats['label_runs']})")

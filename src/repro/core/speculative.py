@@ -14,9 +14,7 @@ replaying the child's buffered ops on the parent) or discarded outright:
   an atom — path chases (``DeltaNet.next_hop``) peek and copy nothing,
 * edge labels (:class:`~repro.structures.atomruns.AtomRuns`) are shared
   until the child's first write to that label; the write copies the
-  runs (O(runs)) and installs the copy in *both* index views, keeping
-  the shared-object invariant ``ForwardingIndex.check_consistency``
-  asserts,
+  runs (O(runs)) into the child's own ``by_link`` dict,
 * the boundary map's block lists are copied — O(boundaries), far below
   the one treap insert per (rule, atom) pair a clone via
   ``DeltaNet.from_state`` pays.
@@ -102,12 +100,10 @@ class _CowOwners:
 class SpeculativeForwardingIndex(ForwardingIndex):
     """A forwarding index sharing the parent's label runs until written.
 
-    The two view dicts (``by_link``, per-source buckets) are private
-    shallow copies from the start — O(links + nodes) pointers — while
-    the :class:`AtomRuns` values stay shared.  The first mutation of a
-    label copies its runs and installs the copy in both views, so the
-    ``flattened[link] is runs`` identity invariant keeps holding on the
-    child.  No label digest is maintained (``digest`` is ``None``).
+    The ``by_link`` dict is a private shallow copy from the start —
+    O(links) pointers — while the :class:`AtomRuns` values stay shared.
+    The first mutation of a label copies its runs.  No label digest is
+    maintained (``digest`` is ``None``).
     """
 
     __slots__ = ("_owned",)
@@ -116,16 +112,12 @@ class SpeculativeForwardingIndex(ForwardingIndex):
     def from_parent(cls, parent: ForwardingIndex) -> "SpeculativeForwardingIndex":
         index = cls.__new__(cls)
         index.by_link = dict(parent.by_link)
-        index.by_source = {node: dict(bucket)
-                           for node, bucket in parent.by_source.items()}
         index.digest = None
         index._owned: Set[Link] = set()
         return index
 
     def _own_runs(self, link: Link, runs: AtomRuns) -> AtomRuns:
-        mine = runs.copy()
-        self.by_link[link] = mine
-        self.by_source[link.source][link] = mine
+        mine = self.by_link[link] = runs.copy()
         self._owned.add(link)
         return mine
 
@@ -133,10 +125,6 @@ class SpeculativeForwardingIndex(ForwardingIndex):
         runs = self.by_link.get(link)
         if runs is None:
             runs = self.by_link[link] = AtomRuns()
-            bucket = self.by_source.get(link.source)
-            if bucket is None:
-                bucket = self.by_source[link.source] = {}
-            bucket[link] = runs
             self._owned.add(link)
         elif link not in self._owned:
             if atom in runs:
@@ -156,10 +144,6 @@ class SpeculativeForwardingIndex(ForwardingIndex):
         if not runs:
             del self.by_link[link]
             self._owned.discard(link)
-            bucket = self.by_source[link.source]
-            del bucket[link]
-            if not bucket:
-                del self.by_source[link.source]
 
 
 class SpeculativeDeltaNet(DeltaNet):

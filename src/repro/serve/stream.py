@@ -54,7 +54,8 @@ DEFAULT_MAX_LINE_BYTES = 1 << 20
 
 #: The one verb-class table, read by lock selection here and by the hub's
 #: routing.  ``point``: one journaled update, which the hub may apply on
-#: its event loop (a ``"spec"``-scoped one counts as ``lane``); ``lane``:
+#: its event loop (a ``"spec"``-scoped one, or one to a session watching a
+#: property that is not ``delta_bounded``, counts as ``lane``); ``lane``:
 #: a write long by nature, always on a thread; ``read``: the shared side
 #: of the session lock (also an unknown verb's class); ``free``: no
 #: session lock; ``hub``: the hub's own — a lone :class:`StreamServer`
@@ -562,7 +563,8 @@ class StreamServer:
                 hub's event loop): the response is ``None``, nothing
                 counted or changed, unless this is a point update that
                 cannot block or run long — no backend on worker pipes,
-                the session lock free right now, no checkpoint due.
+                every watched property ``delta_bounded``, the session
+                lock free right now, no checkpoint due.
 
         Returns:
             ``(response, keep_going)`` exactly as :meth:`handle_line`.
@@ -580,7 +582,9 @@ class StreamServer:
                     "metrics": self.metrics.render_text()}, \
                 not self._draining
         if not wait and (VERB_CLASS.get(cmd) != "point" or "spec" in request
-                         or not self._reads_shared):
+                         or not self._reads_shared
+                         or not all(getattr(prop, "delta_bounded", False)
+                                    for prop in self.session.properties)):
             return None, True
         if self._draining:
             self._m_rejected.inc(session=self.name, reason="draining")

@@ -9,16 +9,26 @@ net — and holds every checker built on the hop (``check_update``,
 ``find_forwarding_loops`` full and restricted) to the stream of its
 label-only twin in :mod:`repro.checkers.sweep`, op for op.  The what-if
 query, which reads ``owner[atom]`` for the failed link's atoms, is held
-to the label-mask reference on every labelled link.
+to the label-mask reference on every labelled link, and the set-at-a-time
+checkers (black holes, reachability, waypoint, isolation), which walk
+every live atom or a slice's atoms, to their ``sweep_*`` twins — and
+Delta-net's black-hole spans to the interval-algebra default.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.backends import DeltaNetBackend
+from repro.api.registry import BackendAdapter
 from repro.checkers import sweep
+from repro.checkers.blackholes import find_blackholes
+from repro.checkers.isolation import check_isolation
 from repro.checkers.loops import LoopChecker, find_forwarding_loops
-from repro.checkers.reachability import find_path, reachable_nodes
+from repro.checkers.reachability import (
+    find_path, reachable_atoms, reachable_nodes,
+)
+from repro.checkers.waypoint import check_waypoint
 from repro.checkers.whatif import link_failure_impact
 from repro.core.deltanet import DeltaNet
 from repro.core.rules import DROP, Link, Rule
@@ -29,6 +39,11 @@ from tests.conftest import label_mask_impact, label_scan_next_hop
 
 WIDTH = 8
 NODES = ["a", "b", "c", "d"]
+WAYPOINTS = [("a", "d", "b"), ("a", "c", "b"), ("b", "a", "c"),
+             ("d", "b", "a")]
+SLICES = [([(0, 64)], [(128, 224)]),
+          ([(32, 96), (200, 256)], [(64, 160)]),
+          ([(0, 256)], [(16, 17)])]
 
 # Steps are descriptors interpreted against the live rule set, so a
 # shrunk trace stays valid: ("+", plen, slot, prio, src, dst) inserts a
@@ -122,6 +137,28 @@ def assert_whatif_matches_masks(net):
         assert impact.loops == loops, link
 
 
+def assert_properties_match_sweeps(net):
+    """The set-at-a-time checkers against their label-only twins, and
+    Delta-net's black-hole spans against the interval-algebra default."""
+    assert find_blackholes(net) == sweep.sweep_find_blackholes(net)
+    assert find_blackholes(net, expected_sinks=["b", DROP]) == \
+        sweep.sweep_find_blackholes(net, expected_sinks=["b", DROP])
+    for src in NODES:
+        for dst in NODES + ["nowhere"]:
+            assert reachable_atoms(net, src, dst) == \
+                sweep.sweep_reachable_atoms(net, src, dst), (src, dst)
+    for src, dst, waypoint in WAYPOINTS:
+        assert check_waypoint(net, src, dst, waypoint) == \
+            sweep.sweep_check_waypoint(net, src, dst, waypoint)
+    for slice_a, slice_b in SLICES:
+        assert check_isolation(net, slice_a, slice_b) == \
+            sweep.sweep_check_isolation(net, slice_a, slice_b)
+    backend = DeltaNetBackend(width=WIDTH)
+    backend._adopt(net)
+    assert backend.find_blackholes() == \
+        BackendAdapter.find_blackholes(backend)
+
+
 def assert_checks_match_sweeps(net, delta):
     """Every path-following check against its label-only twin: equal as
     lists, so the order loops are delivered in is held too."""
@@ -130,6 +167,7 @@ def assert_checks_match_sweeps(net, delta):
     assert find_forwarding_loops(net) == \
         sweep.sweep_find_forwarding_loops(net)
     assert_whatif_matches_masks(net)
+    assert_properties_match_sweeps(net)
     for atom, _interval in list(net.atoms.intervals())[:4]:
         trail = reachable_nodes(net, "a", atom)
         node, expected = "a", []
@@ -172,6 +210,7 @@ def test_speculative_child_chases_without_copying(gc, parent_steps,
     assert find_forwarding_loops(child) == \
         sweep.sweep_find_forwarding_loops(child)
     assert_whatif_matches_masks(child)
+    assert_properties_match_sweeps(child)
     assert not overlay
     child_trace = trace.fork()
     for step in child_steps:
@@ -206,6 +245,7 @@ def test_every_shard_chases_like_its_labels(gc, steps):
         for net in sharded.nets:
             assert_hops_match_labels(net)
             assert_whatif_matches_masks(net)
+            assert_properties_match_sweeps(net)
         assert sharded.find_loops() == [
             loop for net in sharded.nets
             for loop in sweep.sweep_find_forwarding_loops(net)]

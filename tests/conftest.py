@@ -149,7 +149,6 @@ def label_mask_impact(net, link: Link):
         if shared:
             subgraph[other] = bitmask_to_atoms(shared)
     loops = sweep_find_forwarding_loops(net, atoms=affected, links=subgraph)
-    loops.sort(key=lambda loop: (loop.atom, repr(loop.cycle)))
     return set(affected), subgraph, loops
 
 

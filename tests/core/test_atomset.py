@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.atoms import AtomTable
 from repro.core.atomset import (
     atoms_to_bitmask, atoms_to_interval_set, bitmask_to_atoms, iter_bits,
-    label_map_to_bitmasks, popcount,
+    popcount,
 )
 
 atom_sets = st.sets(st.integers(min_value=0, max_value=300), max_size=40)
@@ -52,10 +52,6 @@ class TestBitmasks:
 
 
 class TestLabelHelpers:
-    def test_label_map_to_bitmasks_skips_empty(self):
-        masks = label_map_to_bitmasks({"a": {1, 2}, "b": set()})
-        assert masks == {"a": 0b110}
-
     def test_atoms_to_interval_set_merges_adjacent(self):
         table = AtomTable(width=4)
         table.create_atoms(4, 8)

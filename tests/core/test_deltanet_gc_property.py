@@ -167,4 +167,3 @@ class TestGcRandomizedTraces:
         # back to the initial single atom, and all labels must be gone.
         assert gc_net.num_atoms == 1
         assert not gc_net.label
-        assert not gc_net.findex.by_source

@@ -1,4 +1,4 @@
-"""ForwardingIndex: the persistent check-path view of the labels."""
+"""ForwardingIndex: the edge labels and their digest."""
 
 import random
 
@@ -10,13 +10,13 @@ from tests.conftest import label_scan_next_hop, random_rules
 
 
 class TestStandalone:
-    def test_add_registers_both_views(self):
+    def test_add_registers_the_label(self):
         index = ForwardingIndex()
         link = Link("a", "b")
         index.add(link, 3)
         index.add(link, 4)
         assert set(index.by_link[link]) == {3, 4}
-        assert index.by_source["a"][link] is index.by_link[link]
+        assert index.by_link[link].num_runs == 1
         index.check_consistency()
 
     def test_discard_drops_empty_entries(self):
@@ -25,16 +25,12 @@ class TestStandalone:
         index.add(link, 3)
         index.discard(link, 3)
         assert link not in index.by_link
-        assert "a" not in index.by_source
         index.check_consistency()
 
     def test_discard_unknown_is_noop(self):
         index = ForwardingIndex()
         index.discard(Link("a", "b"), 7)
         index.check_consistency()
-
-    def test_out_links_empty_for_unknown_node(self):
-        assert ForwardingIndex().out_links("nowhere") == {}
 
     def test_from_labels_and_stats(self):
         index = ForwardingIndex.from_labels([
@@ -65,7 +61,7 @@ class TestInsideDeltaNet:
         net = DeltaNet(width=8)
         assert net.label is net.findex.by_link
         net.insert_rule(Rule.forward(0, 0, 64, 1, "s1", "s2"))
-        assert set(net.findex.out_links("s1")) == {Link("s1", "s2")}
+        assert set(net.findex.by_link) == {Link("s1", "s2")}
         net.check_invariants()
 
     def test_index_follows_batched_updates(self):
@@ -75,13 +71,11 @@ class TestInsideDeltaNet:
         net.apply_batch(rules[:20], ())
         net.apply_batch(rules[20:], [rule.rid for rule in rules[:10]])
         net.check_invariants()
-        # Per-source view agrees with a from-scratch rebuild.
+        # The labels agree with a from-scratch rebuild, run for run.
         rebuilt = ForwardingIndex.from_labels(
             (link, list(atoms)) for link, atoms in net.label.items())
-        assert {source: {link: set(runs) for link, runs in bucket.items()}
-                for source, bucket in rebuilt.by_source.items()} == \
-               {source: {link: set(runs) for link, runs in bucket.items()}
-                for source, bucket in net.findex.by_source.items()}
+        assert {link: runs.runs() for link, runs in rebuilt.by_link.items()} \
+            == {link: runs.runs() for link, runs in net.findex.by_link.items()}
 
     def test_next_hop_resolution(self):
         net = DeltaNet(width=8)

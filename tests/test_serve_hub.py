@@ -488,6 +488,23 @@ class TestInlineWrites:
         finally:
             fixture.stop()
 
+    def test_point_write_runs_inline_only_under_delta_bounded_watches(
+            self, tmp_path):
+        # A blackhole check re-derives the whole state, so a write to a
+        # session watching it takes the session's lane, never the loop;
+        # a loop check costs the delta and may run inline.
+        with SessionManager(str(tmp_path), defaults=dict(
+                width=8, properties=())) as manager:
+            holes = manager.open("holes", properties=("blackholes",))
+            loops = manager.open("loops", properties=("loops",))
+            request = {"cmd": "insert", "rule": rule(1)}
+            assert holes.handle_request(dict(request), wait=False) == \
+                (None, True)
+            assert holes.session.sequence == 0
+            response, keep_going = loops.handle_request(dict(request),
+                                                        wait=False)
+            assert response["ok"] and response["seq"] == 1 and keep_going
+
     def test_session_found_only_on_disk_is_recovered_on_first_use(
             self, tmp_path):
         root = str(tmp_path / "root")
