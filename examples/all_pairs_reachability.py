@@ -17,7 +17,9 @@ queries.  This example builds a fat-tree data plane through a
 Run:  python examples/all_pairs_reachability.py
 """
 
-from repro import IsolationProperty, VerificationSession, WaypointProperty
+from repro import (
+    IsolationProperty, Reachable, VerificationSession, WaypointProperty,
+)
 from repro.bgp.prefixes import PrefixPool
 from repro.checkers.allpairs import (
     all_pairs_reachability, loops_from_closure, reachability_matrix,
@@ -58,7 +60,7 @@ def main() -> None:
     print(f"  forwarding loops on the diagonal: "
           f"{len(loops_from_closure(closure))}")
     print(f"  (uniform query agrees: session.reachable gives "
-          f"{len(session.reachable(src, dst))} interval(s))")
+          f"{len(session.query(Reachable(src, dst)).spans)} interval(s))")
 
     # -- waypoint policy --------------------------------------------------------
     bypassing = session.check(WaypointProperty("e0_0", "e1_0", "a0_0"))

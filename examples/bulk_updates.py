@@ -21,7 +21,7 @@ Run:  PYTHONPATH=src python examples/bulk_updates.py
 import random
 import time
 
-from repro.api import LoopProperty, VerificationSession
+from repro.api import LoopProperty, Loops, VerificationSession
 from repro.core.rules import Rule
 
 
@@ -95,9 +95,9 @@ def main():
               f"loops found: {len(parallel.violations())}   ({mode})")
 
         verdicts = {
-            "per-op": sorted(map(repr, per_op.find_loops())),
-            "batched": sorted(map(repr, batched.find_loops())),
-            "parallel": sorted(map(repr, parallel.find_loops())),
+            "per-op": sorted(map(repr, per_op.query(Loops()).violations)),
+            "batched": sorted(map(repr, batched.query(Loops()).violations)),
+            "parallel": sorted(map(repr, parallel.query(Loops()).violations)),
         }
     assert verdicts["per-op"] == verdicts["batched"] == verdicts["parallel"]
     print(f"\nall engines agree: {len(verdicts['per-op'])} forwarding "

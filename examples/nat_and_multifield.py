@@ -17,7 +17,7 @@ graph is a separate structure outside the single-field backend protocol.
 Run:  python examples/nat_and_multifield.py
 """
 
-from repro import VerificationSession
+from repro import Reachable, VerificationSession
 from repro.core.multifield import FieldSchema, MultiFieldDeltaNet
 from repro.core.prefix import prefix_to_interval
 from repro.core.rewrite import (
@@ -78,7 +78,7 @@ def nat_demo() -> None:
     # at the WAN router; the rewrite-aware analysis runs on the native
     # Delta-net underneath the session.
     print(f"  plain reachability lan->internet (no rewrite semantics): "
-          f"{session.reachable('lan', 'internet') or 'nothing'}")
+          f"{session.query(Reachable('lan', 'internet')).spans or 'nothing'}")
     reach = reachable_intervals_with_rewrites(session.native, rewrites,
                                               "lan", "internet")
     print("  packets the LAN can address to reach the internet "

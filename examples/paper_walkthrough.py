@@ -20,7 +20,7 @@ introspection.
 Run:  python examples/paper_walkthrough.py
 """
 
-from repro import VerificationSession
+from repro import FlowsOn, VerificationSession
 from repro.core.rules import Rule
 
 
@@ -31,7 +31,7 @@ def show_labels(session: VerificationSession, title: str) -> None:
         atoms = net.label_of(link)
         if not atoms:
             continue
-        spans = session.flows_on(link)
+        spans = session.query(FlowsOn(link)).spans
         names = ", ".join(f"a{a}" for a in sorted(atoms))
         print(f"  {link}: {{{names}}}  = {spans}")
 

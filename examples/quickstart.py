@@ -15,8 +15,8 @@ Run:  python examples/quickstart.py            (Delta-net)
 import os
 
 from repro import (
-    BlackholeProperty, LoopProperty, ReachabilityProperty,
-    VerificationSession,
+    BlackholeProperty, FlowsOn, LoopProperty, Reachable,
+    ReachabilityProperty, VerificationSession,
 )
 from repro.core.rules import Action
 
@@ -41,8 +41,8 @@ def main() -> None:
     if "atoms" in stats:
         print(f"\natoms: {stats['atoms']} "
               f"(the paper's Figure 5 segmentation plus the tail atom)")
-    print("flows on s1->s2:", session.flows_on(("s1", "s2")))
-    print("dropped at s1:  ", session.flows_on(("s1", "__drop__")))
+    print("flows on s1->s2:", session.query(FlowsOn(("s1", "s2"))).spans)
+    print("dropped at s1:  ", session.query(FlowsOn(("s1", "__drop__"))).spans)
 
     # -- grow the network ----------------------------------------------------
     session.insert(session.make_rule(2, "0.0.0.0/28", 10, "s2", "s3"))
@@ -51,10 +51,11 @@ def main() -> None:
           f"{len(result.violations)} violation(s)")
     for violation in result.violations:
         print(f"  {violation}")
-        print(f"    (cycling packet space: {session.flows_on(('s3', 's1'))})")
+        cycling = session.query(FlowsOn(("s3", "s1"))).spans
+        print(f"    (cycling packet space: {cycling})")
 
     # -- reachability and black holes ---------------------------------------
-    spans = session.reachable("s1", "s3")
+    spans = session.query(Reachable("s1", "s3")).spans
     print(f"\npackets reaching s3 from s1: {spans}")
     holes = session.check(BlackholeProperty(expected_sinks=["s3"]))
     print(f"black holes: {[str(v) for v in holes] or 'none'}")

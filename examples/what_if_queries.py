@@ -14,7 +14,7 @@ Run:  python examples/what_if_queries.py
 
 import time
 
-from repro import VerificationSession
+from repro import LinkDown, VerificationSession
 from repro.datasets.builders import build_berkeley
 
 
@@ -36,12 +36,12 @@ def main() -> None:
 
     print(f"\nfailing each of the {len(links)} links (hypothetically) ...")
     start = time.perf_counter()
-    impacts = [deltanet.what_if_link_down(link) for link in links]
+    impacts = [deltanet.query(LinkDown(link)).spans for link in links]
     deltanet_time = time.perf_counter() - start
 
     start = time.perf_counter()
     for link in links:
-        veriflow.what_if_link_down(link)
+        veriflow.query(LinkDown(link))
     veriflow_time = time.perf_counter() - start
 
     worst_index = max(range(len(links)), key=lambda i: len(impacts[i]))

@@ -50,7 +50,6 @@ merged from (a merged removal can cancel against a later add).
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Any, Dict, Iterable, List, Optional, Set, Tuple, Union,
@@ -58,16 +57,14 @@ from typing import (
 
 from repro.api.properties import Commit, Property, Violation
 from repro.api.registry import (
-    BackendAdapter, BackendBatch, BackendUpdate, Cycle, Spans,
+    BackendAdapter, BackendBatch, BackendUpdate, Spans,
     _merge_update_deltas, available_backends, create_backend,
 )
 from repro.core.delta_graph import DeltaGraph
 from repro.core.rules import Action, Link, Rule
 from repro.core.speculative import StaleSpeculationError
 from repro.datasets.format import Op
-from repro.query.model import (
-    FlowsOn, LinkDown, Loops, Query, QueryResult, Reachable,
-)
+from repro.query.model import Query, QueryResult
 
 _clock = time.perf_counter
 
@@ -429,53 +426,7 @@ class VerificationSession:
         """
         return SpeculativeSession(self)
 
-    # -- queries (deprecated per-method surface; use session.query) --------------
-
-    def flows_on(self, link: Union[Link, Tuple[object, object]]) -> Spans:
-        """Return the header intervals currently forwarded over ``link``.
-
-        .. deprecated:: use ``query(FlowsOn(link)).spans``.
-        """
-        warnings.warn(
-            "session.flows_on() is deprecated; use "
-            "session.query(FlowsOn(link)).spans",
-            DeprecationWarning, stacklevel=2)
-        return self.query(FlowsOn(link)).spans
-
-    def reachable(self, src: object, dst: object) -> Spans:
-        """Return the header intervals that can travel ``src`` → ``dst``.
-
-        .. deprecated:: use ``query(Reachable(src, dst)).spans``.
-        """
-        warnings.warn(
-            "session.reachable() is deprecated; use "
-            "session.query(Reachable(src, dst)).spans",
-            DeprecationWarning, stacklevel=2)
-        return self.query(Reachable(src, dst)).spans
-
-    def what_if_link_down(self,
-                          link: Union[Link, Tuple[object, object]]) -> Spans:
-        """Return the header intervals that would lose their path if
-        ``link`` failed (a hypothetical — nothing is mutated).
-
-        .. deprecated:: use ``query(LinkDown(link)).spans``.
-        """
-        warnings.warn(
-            "session.what_if_link_down() is deprecated; use "
-            "session.query(LinkDown(link)).spans",
-            DeprecationWarning, stacklevel=2)
-        return self.query(LinkDown(link)).spans
-
-    def find_loops(self) -> List[Cycle]:
-        """Return every forwarding loop as a canonical node cycle.
-
-        .. deprecated:: use ``query(Loops()).violations``.
-        """
-        warnings.warn(
-            "session.find_loops() is deprecated; use "
-            "session.query(Loops()).violations",
-            DeprecationWarning, stacklevel=2)
-        return self.query(Loops()).violations
+    # -- queries the typed Query API does not cover ----------------------------
 
     def find_blackholes(self) -> Dict[object, Spans]:
         """Return, per node, the header intervals it silently drops."""

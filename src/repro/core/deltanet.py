@@ -347,9 +347,6 @@ class DeltaNet:
         * all boundary splits are pre-created in one deduplicated pass
           over the batch's intervals (:meth:`AtomTable.create_atoms_many`),
           so a boundary shared by many rules is probed once,
-        * the ownership sweep runs per ``(source, interval)`` group —
-          rules installed on the same switch over the same interval walk
-          the atom range once instead of once per rule,
         * one delta-graph is recorded directly (no per-op graphs to
           allocate and re-merge), so an insert later shadowed within the
           same batch cancels to no edge at all.
@@ -391,109 +388,14 @@ class DeltaNet:
         for rid in removals:
             self._remove_ownership(self.rules.pop(rid), delta_graph)
 
-        # Phase 3 — ownership sweep per (source, interval) group.
-        groups: Dict[Tuple[object, int, int], List[Rule]] = {}
+        # Phase 3 — insertions, in batch order (Algorithm 1 per rule).
         for rule in inserts:
             self.rules[rule.rid] = rule
             self.nodes.add(rule.source)
             if rule.target is not None:
                 self.nodes.add(rule.target)
-            groups.setdefault((rule.source, rule.lo, rule.hi), []).append(rule)
-
-        heap_prio = ptreap.heap_prio
-        node_cls = ptreap.PNode
-        pt_insert = ptreap.insert
-        pt_max = ptreap.max_node
-        owner = self._owner
-        atoms_in = self.atoms.atoms_in
-        label_add = self.findex.add
-        added = delta_graph.added
-        removed = delta_graph.removed
-        label_discard = self.findex.discard
-        record_remove = delta_graph.record_remove
-        for (source, lo, hi), group in groups.items():
-            atoms = atoms_in(lo, hi)
-            if len(group) > 1:
-                self._sweep_group(source, atoms, group, delta_graph)
-                continue
-            # Singleton group — the dominant shape.  This is
-            # _insert_ownership with the delta-record dict operations
-            # inlined and the index publishers pre-bound: one probe per
-            # change, measurably faster at 10^4-10^5 ops per batch.
-            rule = group[0]
-            key = rule.sort_key
-            prio = heap_prio(key)
-            rlink = rule.link
-            for atom in atoms:
-                owners = owner[atom]
-                root = owners.get(source)
-                if root is None:
-                    current = None
-                else:
-                    current = pt_max(root).value
-                    if current.sort_key > key or current.link == rlink:
-                        owners[source] = pt_insert(root, key, rule, prio)
-                        continue
-                # The rule takes over this atom on a new link: label[rlink]
-                # gains the atom, and the add cancels any removal the batch
-                # recorded earlier for the same (link, atom).
-                label_add(rlink, atom)
-                pending = removed.get(rlink)
-                if pending is not None and atom in pending:
-                    pending.discard(atom)
-                    if not pending:
-                        del removed[rlink]
-                else:
-                    add_bucket = added.get(rlink)
-                    if add_bucket is None:
-                        add_bucket = added[rlink] = set()
-                    add_bucket.add(atom)
-                if root is None:
-                    owners[source] = node_cls(key, rule, prio, None, None)
-                else:
-                    label_discard(current.link, atom)
-                    record_remove(current.link, atom)
-                    owners[source] = pt_insert(root, key, rule, prio)
+            self._insert_ownership(rule, delta_graph)
         return delta_graph
-
-    def _sweep_group(self, source: object, atoms: List[int],
-                     group: List[Rule], delta_graph: DeltaGraph) -> None:
-        """Ownership sweep for several batch rules sharing (source, interval).
-
-        Walks the shared atom range once; ``current`` tracks the running
-        highest-priority owner so the group needs a single max-node
-        descent per atom, not one per rule.
-        """
-        heap_prio = ptreap.heap_prio
-        node_cls = ptreap.PNode
-        pt_insert = ptreap.insert
-        pt_max = ptreap.max_node
-        owner = self._owner
-        label_add = self.findex.add
-        label_discard = self.findex.discard
-        record_add = delta_graph.record_add
-        record_remove = delta_graph.record_remove
-        keyed = [(rule.sort_key, heap_prio(rule.sort_key), rule)
-                 for rule in group]
-        for atom in atoms:
-            owners = owner[atom]
-            root = owners.get(source)
-            current = pt_max(root).value if root is not None else None
-            for key, prio, rule in keyed:
-                if current is None or current.sort_key < key:
-                    rlink = rule.link
-                    if current is None or current.link != rlink:
-                        label_add(rlink, atom)
-                        record_add(rlink, atom)
-                        if current is not None:
-                            label_discard(current.link, atom)
-                            record_remove(current.link, atom)
-                    current = rule
-                if root is None:
-                    root = node_cls(key, rule, prio, None, None)
-                else:
-                    root = pt_insert(root, key, rule, prio)
-            owners[source] = root
 
     # -- internals ----------------------------------------------------------------
 

@@ -2,18 +2,28 @@
 
 :class:`ParallelShardedDeltaNet` runs one OS process per header-space
 shard.  Each worker owns an independent :class:`~repro.core.deltanet.
-DeltaNet` (plus its incremental loop checker) for its slice and serves
-commands over a dedicated duplex pipe.  The parent performs the *map*
-step — clipping rules to shards, exactly as
-:class:`~repro.libra.sharding.ShardedDeltaNet` does — then fans a batch
-(or a query) out to every touched worker and merges the replies: the
-*reduce* step.  Because workers are separate processes, the per-shard
-update sweeps and loop checks run truly concurrently, GIL-free.
+DeltaNet` for its slice and serves commands over a dedicated duplex
+pipe.  The parent performs the *map* step — clipping rules to shards,
+exactly as :class:`~repro.libra.sharding.ShardedDeltaNet` does — then
+fans a batch (or a query) out to every touched worker and merges the
+replies: the *reduce* step.  Because workers are separate processes,
+the per-shard update sweeps and loop checks run truly concurrently,
+GIL-free.
 
-Loop checking runs *inside* the workers (the checker chases the shard's
-own persistent forwarding index, which lives and dies with the worker);
-workers therefore return canonical loop cycles, not delta-graphs,
-keeping the pipe traffic small.
+Each step is written once and shared by the fleet and its speculative
+forks (:meth:`ParallelShardedDeltaNet.speculate`):
+
+* one shard-query table (``_SHARD_QUERIES``): a worker answers a query
+  from the same per-net function whether it reads its live shard or one
+  of its forks,
+* one apply-then-check function: a sub-batch's loops are chased inside
+  the worker, so workers return canonical loop cycles, not
+  delta-graphs, keeping the pipe traffic small,
+* one set of fleet-wide reducers (:class:`_ShardFleet`) over a
+  per-class gather of per-shard answers,
+* one supervised fan-out (:meth:`ParallelShardedDeltaNet._fan_out`)
+  carrying per-shard arguments, through which every update and query
+  reaches the workers concurrently.
 
 Shard workers are *supervised*.  The parent detects dead and hung
 workers (pipe EOF, broken pipe, or a per-request ``deadline``) and
@@ -72,6 +82,72 @@ class WorkerCrash(RuntimeError):
         self.hung = hung
 
 
+def _flows_on(net: DeltaNet, link: Link) -> List[Tuple[int, int]]:
+    return net.flows_on(link)
+
+
+def _links(net: DeltaNet) -> List[Link]:
+    return list(net.links())
+
+
+def _dump_flows(net: DeltaNet) -> Dict[Link, List[Tuple[int, int]]]:
+    return {link: net.flows_on(link) for link in net.links()}
+
+
+def _find_loops(net: DeltaNet) -> List[Cycle]:
+    return [loop.cycle for loop in find_forwarding_loops(net)]
+
+
+def _reachable(net: DeltaNet, src: object,
+               dst: object) -> List[Tuple[int, int]]:
+    return atoms_to_interval_set(reachable_atoms(net, src, dst), net.atoms)
+
+
+def _find_blackholes(net: DeltaNet) -> Dict[object, List[Tuple[int, int]]]:
+    return {node: atoms_to_interval_set(atoms, net.atoms)
+            for node, atoms in _shard_blackholes(net).items()}
+
+
+def _owner_target(net: DeltaNet, source: object,
+                  point: int) -> Optional[Link]:
+    rule = net.owner_rule(net.atoms.atom_at(point), source)
+    return rule.link if rule else None
+
+
+def _stats(net: DeltaNet) -> Tuple[int, int]:
+    return net.num_rules, net.num_atoms
+
+
+def _check_invariants(net: DeltaNet) -> None:
+    net.check_invariants()
+
+
+#: The shard-query table: each worker answers for its slice only, from
+#: the same function whether it reads the live shard or a fork of it.
+_SHARD_QUERIES: Dict[str, Callable] = {
+    "flows_on": _flows_on,
+    "links": _links,
+    "dump_flows": _dump_flows,
+    "find_loops": _find_loops,
+    "reachable": _reachable,
+    "find_blackholes": _find_blackholes,
+    "owner_target": _owner_target,
+    "stats": _stats,
+    "check_invariants": _check_invariants,
+}
+
+
+def _apply_and_check(net: DeltaNet, inserts: List[Rule], removals: List[int],
+                     check: bool) -> List[Cycle]:
+    """Apply one shard's sub-batch; return the loops its delta made."""
+    delta = net.apply_batch(inserts, removals)
+    if not check or delta.is_empty():
+        # An empty delta changed no label in this shard — nothing
+        # to chase, and nothing to ship back over the pipe.
+        return []
+    return [loop.cycle for loop in LoopChecker(net).check_update(delta)]
+
+
 class _ShardServer:
     """One shard's state and command dispatch.
 
@@ -82,7 +158,6 @@ class _ShardServer:
 
     def __init__(self, width: int, gc: bool) -> None:
         self.net = DeltaNet(width=width, gc=gc)
-        self.checker = LoopChecker(self.net)
         #: Live speculative forks of this shard, by speculation id.
         #: They live in this process's memory only: a restart loses
         #: them, which the unknown-id path reports as staleness.
@@ -91,48 +166,12 @@ class _ShardServer:
     def handle(self, method: str, args: tuple):
         return getattr(self, "do_" + method)(*args)
 
-    # -- updates ---------------------------------------------------------------
-
     def do_apply_batch(self, inserts: List[Rule], removals: List[int],
                        check: bool) -> List[Cycle]:
-        delta = self.net.apply_batch(inserts, removals)
-        if not check or delta.is_empty():
-            # An empty delta changed no label in this shard — nothing
-            # to chase, and nothing to ship back over the pipe.
-            return []
-        return [loop.cycle for loop in self.checker.check_update(delta)]
+        return _apply_and_check(self.net, inserts, removals, check)
 
-    # -- queries (each worker answers for its slice only) ------------------------
-
-    def do_flows_on(self, link: Link) -> List[Tuple[int, int]]:
-        return self.net.flows_on(link)
-
-    def do_links(self) -> List[Link]:
-        return list(self.net.links())
-
-    def do_dump_flows(self) -> Dict[Link, List[Tuple[int, int]]]:
-        return {link: self.net.flows_on(link) for link in self.net.links()}
-
-    def do_find_loops(self) -> List[Cycle]:
-        return [loop.cycle for loop in find_forwarding_loops(self.net)]
-
-    def do_reachable(self, src: object, dst: object) -> List[Tuple[int, int]]:
-        atoms = reachable_atoms(self.net, src, dst)
-        return atoms_to_interval_set(atoms, self.net.atoms)
-
-    def do_find_blackholes(self) -> Dict[object, List[Tuple[int, int]]]:
-        return {node: atoms_to_interval_set(atoms, self.net.atoms)
-                for node, atoms in _shard_blackholes(self.net).items()}
-
-    def do_owner_target(self, source: object, point: int) -> Optional[Link]:
-        rule = self.net.owner_rule(self.net.atoms.atom_at(point), source)
-        return rule.link if rule else None
-
-    def do_stats(self) -> Tuple[int, int]:
-        return self.net.num_rules, self.net.num_atoms
-
-    def do_check_invariants(self) -> None:
-        self.net.check_invariants()
+    def do_query(self, method: str, args: tuple):
+        return _SHARD_QUERIES[method](self.net, *args)
 
     # -- integrity (per-shard audit; see repro.integrity) ------------------------
 
@@ -180,31 +219,10 @@ class _ShardServer:
 
     def do_spec_apply_batch(self, spec_id: int, inserts: List[Rule],
                             removals: List[int], check: bool) -> List[Cycle]:
-        net = self._spec(spec_id)
-        delta = net.apply_batch(inserts, removals)
-        if not check or delta.is_empty():
-            return []
-        return [loop.cycle for loop in LoopChecker(net).check_update(delta)]
+        return _apply_and_check(self._spec(spec_id), inserts, removals, check)
 
     def do_spec_query(self, spec_id: int, method: str, args: tuple):
-        net = self._spec(spec_id)
-        if method == "flows_on":
-            return net.flows_on(*args)
-        if method == "links":
-            return list(net.links())
-        if method == "find_loops":
-            return [loop.cycle for loop in find_forwarding_loops(net)]
-        if method == "reachable":
-            atoms = reachable_atoms(net, *args)
-            return atoms_to_interval_set(atoms, net.atoms)
-        if method == "find_blackholes":
-            return {node: atoms_to_interval_set(atoms, net.atoms)
-                    for node, atoms in _shard_blackholes(net).items()}
-        if method == "stats":
-            return net.num_rules, net.num_atoms
-        if method == "check_invariants":
-            return net.check_invariants()
-        raise ValueError(f"unknown speculative query {method!r}")
+        return _SHARD_QUERIES[method](self._spec(spec_id), *args)
 
     def do_spec_discard(self, spec_id: int) -> None:
         self._specs.pop(spec_id, None)
@@ -216,7 +234,6 @@ class _ShardServer:
 
     def do_restore(self, state: dict) -> None:
         self.net = DeltaNet.from_state(state)
-        self.checker = LoopChecker(self.net)
 
 
 def _shard_worker(conn, width: int, gc: bool) -> None:
@@ -340,7 +357,72 @@ class _InlineEndpoint:
         pass
 
 
-class ParallelShardedDeltaNet(ShardRouter):
+def _first_seen(per_shard: Iterable[list]) -> list:
+    """The shards' answers concatenated, each item kept once, in the
+    order first seen."""
+    return list(dict.fromkeys(
+        item for answers in per_shard for item in answers))
+
+
+class _ShardFleet(ShardRouter):
+    """The surface a fleet of shards shares with its speculative forks.
+
+    The fleet-wide reduce step lives here once: each reducer merges the
+    per-shard answers that :meth:`_gather` collects, in shard order.
+    :class:`ParallelShardedDeltaNet` gathers from its workers' live
+    shards, :class:`ParallelSpeculation` from their forks.
+    """
+
+    def _gather(self, method: str, *args) -> List[object]:
+        """Every shard's answer to the shard query ``method``."""
+        raise NotImplementedError
+
+    def insert_rule(self, rule: Rule, check: bool = True) -> List[Cycle]:
+        return self.apply_batch([rule], (), check=check)
+
+    def remove_rule(self, rid: int, check: bool = True) -> List[Cycle]:
+        return self.apply_batch((), [rid], check=check)
+
+    # -- queries (reduce over all shards) ------------------------------------------
+
+    def flows_on(self, link) -> List[Tuple[int, int]]:
+        spans: List[Tuple[int, int]] = []
+        for shard_spans in self._gather("flows_on", link):
+            spans.extend(shard_spans)
+        return normalize(spans)
+
+    def links(self) -> List[Link]:
+        return _first_seen(self._gather("links"))
+
+    def find_loops(self) -> List[Cycle]:
+        return _first_seen(self._gather("find_loops"))
+
+    def reachable(self, src: object, dst: object) -> List[Tuple[int, int]]:
+        spans: List[Tuple[int, int]] = []
+        for shard_spans in self._gather("reachable", src, dst):
+            spans.extend(shard_spans)
+        return normalize(spans)
+
+    def find_blackholes(self) -> Dict[object, List[Tuple[int, int]]]:
+        merged: Dict[object, IntervalSet] = {}
+        for shard_holes in self._gather("find_blackholes"):
+            for node, spans in shard_holes.items():
+                merged[node] = merged.get(node, IntervalSet()) | IntervalSet(spans)
+        return {node: spans.spans for node, spans in merged.items()}
+
+    def shard_sizes(self) -> List[Tuple[int, int]]:
+        """(rules, atoms) per shard — the load-balance view."""
+        return self._gather("stats")
+
+    @property
+    def total_atoms(self) -> int:
+        return sum(atoms for _rules, atoms in self.shard_sizes())
+
+    def check_invariants(self) -> None:
+        self._gather("check_invariants")
+
+
+class ParallelShardedDeltaNet(_ShardFleet):
     """Disjoint-slice Delta-nets served by one worker process per shard.
 
     The update surface mirrors :class:`~repro.libra.sharding.
@@ -348,7 +430,10 @@ class ParallelShardedDeltaNet(ShardRouter):
     map step it shares), except updates return the *loops* the
     per-shard incremental checkers found (pass ``check=False`` to skip
     checking) rather than delta-graphs — deltas live and die inside the
-    workers.
+    workers.  Queries and their fleet-wide reducers come from
+    :class:`_ShardFleet`, which the speculative forks opened by
+    :meth:`speculate` share: one shard-query table and one reducer set
+    answer for the live fleet and for every fork.
 
     ``start_method`` picks the :mod:`multiprocessing` context (``fork``
     where available is fastest); ``force_inline=True`` skips processes
@@ -600,24 +685,25 @@ class ParallelShardedDeltaNet(ShardRouter):
 
     # -- fan-out plumbing ----------------------------------------------------------
 
-    def _fan_out(self, method: str, args: tuple = (),
-                 indices: Optional[Iterable[int]] = None) -> List[object]:
-        """Send a command to the selected workers, then collect replies.
+    def _fan_out(self, method: str, calls: Dict[int, tuple]
+                 ) -> Tuple[Dict[int, object], Optional[Exception]]:
+        """Send each selected worker its own arguments, then collect replies.
 
+        ``calls`` maps a shard index to the arguments of its command.
         All submits go out before the first result is awaited — with
         process workers the shards genuinely execute concurrently.
         Every reply is drained even when one worker errors (an undrained
         pipe would pair the *next* command with this command's stale
-        reply); a crashed worker is recovered and the command re-issued
-        through the fresh endpoint, while the first *reported* error is
-        re-raised after the sweep.
+        reply).  A crashed worker is recovered — re-seeded to its
+        pre-command state — and the command re-issued through the fresh
+        endpoint, so it applies exactly once.  Returns the replies by
+        shard index, in ``calls`` order, and the first error a worker
+        *reported* (``None`` when every shard answered).
         """
-        chosen = (list(indices) if indices is not None
-                  else list(range(len(self._workers))))
         submitted: List[int] = []
         deferred: List[int] = []
-        first_error: Optional[Exception] = None
-        for index in chosen:
+        errors: List[Exception] = []
+        for index, args in calls.items():
             try:
                 self._workers[index].submit(method, args)
                 submitted.append(index)
@@ -625,28 +711,36 @@ class ParallelShardedDeltaNet(ShardRouter):
                 self._recover(index, crash)
                 deferred.append(index)
             except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-        results: Dict[int, object] = {}
+                errors.append(exc)
+        replies: Dict[int, object] = {}
         for index in submitted:
             try:
-                results[index] = self._workers[index].result(self.deadline)
+                replies[index] = self._workers[index].result(self.deadline)
                 self._streaks[index] = 0
             except WorkerCrash as crash:
                 self._recover(index, crash)
                 deferred.append(index)
             except Exception as exc:
-                if first_error is None:
-                    first_error = exc
+                errors.append(exc)
         for index in deferred:
             try:
-                results[index] = self._call(index, method, args)
+                replies[index] = self._call(index, method, calls[index])
             except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return [results[index] for index in chosen]
+                errors.append(exc)
+        ordered = {index: replies[index] for index in calls if index in replies}
+        return ordered, (errors[0] if errors else None)
+
+    def _broadcast(self, method: str, args: tuple = ()) -> List[object]:
+        """One command, same arguments, to every shard; replies in shard
+        order, raising the first reported error."""
+        replies, error = self._fan_out(
+            method, dict.fromkeys(range(len(self._workers)), args))
+        if error is not None:
+            raise error
+        return list(replies.values())
+
+    def _gather(self, method: str, *args) -> List[object]:
+        return self._broadcast("query", (method, args))
 
     # -- updates (map: clip; reduce: merge worker loop reports) --------------------
 
@@ -673,140 +767,41 @@ class ParallelShardedDeltaNet(ShardRouter):
             raise RuntimeError(
                 "parallel verifier is inconsistent after a failed batch; "
                 "rebuild it (queries on the partial state still work)")
-        inserts = list(rules_to_insert)
-        removals = list(rids_to_remove)
-        per_shard = self.route_batch(inserts, removals)
-        touched = [index for index, (ins, rem) in enumerate(per_shard)
-                   if ins or rem]
-        # Per-shard payloads differ, so submit individually (all sends
-        # before the first await — the workers run concurrently), then
-        # drain every successfully submitted reply, recovering crashed
-        # workers, before raising any reported error.
-        submitted: List[int] = []
-        deferred: List[int] = []
-        first_error: Optional[Exception] = None
-        for index in touched:
-            shard_inserts, shard_removals = per_shard[index]
-            try:
-                self._workers[index].submit(
-                    "apply_batch", (shard_inserts, shard_removals, check))
-                submitted.append(index)
-            except WorkerCrash as crash:
-                self._recover(index, crash)
-                deferred.append(index)
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-        loops: Dict[Cycle, None] = {}
-        applied: List[int] = []
-        for index in submitted:
-            shard_inserts, shard_removals = per_shard[index]
-            try:
-                cycles = self._workers[index].result(self.deadline)
-                self._streaks[index] = 0
-            except WorkerCrash as crash:
-                # The crash took the sub-batch with the worker's memory
-                # (recovery re-seeds the pre-batch state), so re-issue.
-                self._recover(index, crash)
-                deferred.append(index)
-                continue
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            applied.append(index)
-            for cycle in cycles:
-                loops.setdefault(cycle)
-        for index in deferred:
-            shard_inserts, shard_removals = per_shard[index]
-            try:
-                cycles = self._call(
-                    index, "apply_batch",
-                    (shard_inserts, shard_removals, check))
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            applied.append(index)
-            for cycle in cycles:
-                loops.setdefault(cycle)
-        if applied:
+        per_shard = self.route_batch(rules_to_insert, rids_to_remove)
+        replies, error = self._fan_out("apply_batch", {
+            index: (shard_inserts, shard_removals, check)
+            for index, (shard_inserts, shard_removals) in enumerate(per_shard)
+            if shard_inserts or shard_removals})
+        if replies:
             # Even a partially applied batch advances the epoch: any
             # open speculation's shared state has drifted.
             self.mutations += 1
-        if first_error is not None:
+        if error is not None:
             # Some shards may have applied their sub-batch while others
             # did not — without two-phase commit the instance cannot be
             # reconciled, so refuse all further *updates* rather than
             # risk phantom rules on a retry.  Queries stay available for
             # inspecting the partial state.
             self._poisoned = True
-            raise first_error
-        for index in applied:
+            raise error
+        for index in replies:
             self._record_applied(index, per_shard[index])
-        return list(loops)
+        return _first_seen(replies.values())
 
-    def insert_rule(self, rule: Rule, check: bool = True) -> List[Cycle]:
-        return self.apply_batch([rule], (), check=check)
-
-    def remove_rule(self, rid: int, check: bool = True) -> List[Cycle]:
-        return self.apply_batch((), [rid], check=check)
-
-    # -- queries (reduce over all shards) ------------------------------------------
-
-    def flows_on(self, link) -> List[Tuple[int, int]]:
-        spans: List[Tuple[int, int]] = []
-        for shard_spans in self._fan_out("flows_on", (link,)):
-            spans.extend(shard_spans)
-        return normalize(spans)
-
-    def links(self) -> List[Link]:
-        seen: Dict[Link, None] = {}
-        for shard_links in self._fan_out("links"):
-            for link in shard_links:
-                seen.setdefault(link)
-        return list(seen)
+    # -- queries the forks do not answer -------------------------------------------
 
     def dump_flows(self) -> Dict[Link, List[Tuple[int, int]]]:
         """Every link's flows, merged across shards (tests/diagnostics)."""
         merged: Dict[Link, List[Tuple[int, int]]] = {}
-        for shard_dump in self._fan_out("dump_flows"):
+        for shard_dump in self._gather("dump_flows"):
             for link, spans in shard_dump.items():
                 merged.setdefault(link, []).extend(spans)
         return {link: normalize(spans) for link, spans in merged.items()}
 
-    def find_loops(self) -> List[Cycle]:
-        seen: Dict[Cycle, None] = {}
-        for shard_loops in self._fan_out("find_loops"):
-            for cycle in shard_loops:
-                seen.setdefault(cycle)
-        return list(seen)
-
-    def reachable(self, src: object, dst: object) -> List[Tuple[int, int]]:
-        spans: List[Tuple[int, int]] = []
-        for shard_spans in self._fan_out("reachable", (src, dst)):
-            spans.extend(shard_spans)
-        return normalize(spans)
-
-    def find_blackholes(self) -> Dict[object, List[Tuple[int, int]]]:
-        merged: Dict[object, IntervalSet] = {}
-        for shard_holes in self._fan_out("find_blackholes"):
-            for node, spans in shard_holes.items():
-                merged[node] = merged.get(node, IntervalSet()) | IntervalSet(spans)
-        return {node: spans.spans for node, spans in merged.items()}
-
     def owner_link_at(self, source: object, point: int) -> Optional[Link]:
         """The link a ``point``-packet takes at ``source``, if any."""
-        index = self.shard_of_point(point)
-        return self._fan_out("owner_target", (source, point), [index])[0]
-
-    def shard_sizes(self) -> List[Tuple[int, int]]:
-        """(rules, atoms) per shard — the load-balance view."""
-        return list(self._fan_out("stats"))
-
-    @property
-    def total_atoms(self) -> int:
-        return sum(atoms for _rules, atoms in self.shard_sizes())
+        return self._call(self.shard_of_point(point), "query",
+                          ("owner_target", (source, point)))
 
     # -- integrity audit (see repro.integrity) -----------------------------------
 
@@ -816,7 +811,7 @@ class ParallelShardedDeltaNet(ShardRouter):
         from repro.integrity.digest import combine_digests
 
         return combine_digests(
-            live for live, _recomputed in self._fan_out("digest", (False,)))
+            live for live, _recomputed in self._broadcast("digest", (False,)))
 
     def audit_shard(self, index: int, repair: bool = True) -> dict:
         """Audit one worker's reported digest against an independent
@@ -894,7 +889,7 @@ class ParallelShardedDeltaNet(ShardRouter):
         others do the same.
         """
         state = self.router_state()
-        state["nets"] = list(self._fan_out("snapshot"))
+        state["nets"] = self._broadcast("snapshot")
         return state
 
     def _seed_shards(self, states: List[dict]) -> None:
@@ -903,28 +898,17 @@ class ParallelShardedDeltaNet(ShardRouter):
         The states double as recovery seeds *before* the restores are
         issued: a worker that crashes mid-restore is recovered by
         :meth:`_recover`, whose seed replay performs the very restore
-        that was in flight — so a crash here self-heals.
+        that was in flight, and the fan-out's re-issue repeats it on
+        the same state — so a crash here self-heals.
         """
         for index, net_state in enumerate(states):
             self._seeds[index] = net_state
             self._replay[index] = []
             self._replay_ops[index] = 0
-        submitted: List[int] = []
-        deferred: List[int] = []
-        for index, net_state in enumerate(states):
-            try:
-                self._workers[index].submit("restore", (net_state,))
-                submitted.append(index)
-            except WorkerCrash as crash:
-                self._recover(index, crash)
-                deferred.append(index)
-        for index in submitted:
-            try:
-                self._workers[index].result(self.deadline)
-                self._streaks[index] = 0
-            except WorkerCrash as crash:
-                # Recovery replays the seed — the restore still lands.
-                self._recover(index, crash)
+        error = self._fan_out("restore", {
+            index: (net_state,) for index, net_state in enumerate(states)})[1]
+        if error is not None:
+            raise error
 
     @classmethod
     def from_state(cls, state: dict, gc: bool = False,
@@ -945,9 +929,6 @@ class ParallelShardedDeltaNet(ShardRouter):
         instance._seed_shards(list(state["nets"]))
         return instance
 
-    def check_invariants(self) -> None:
-        self._fan_out("check_invariants")
-
     # -- speculation (see repro.core.speculative) --------------------------------
 
     def speculate(self) -> "ParallelSpeculation":
@@ -961,7 +942,7 @@ class ParallelShardedDeltaNet(ShardRouter):
         """
         spec_id = self._spec_counter
         self._spec_counter += 1
-        self._fan_out("spec_begin", (spec_id,))
+        self._broadcast("spec_begin", (spec_id,))
         return ParallelSpeculation(self, spec_id)
 
     def __repr__(self) -> str:
@@ -972,12 +953,13 @@ class ParallelShardedDeltaNet(ShardRouter):
                 f"rules={self.num_rules}, mode={mode})")
 
 
-class ParallelSpeculation(ShardRouter):
+class ParallelSpeculation(_ShardFleet):
     """Parent-side handle of one fleet-wide speculative fork.
 
-    Mirrors the :class:`ParallelShardedDeltaNet` update/query surface
-    against the per-worker :class:`~repro.core.speculative.
-    SpeculativeDeltaNet` forks.  Router bookkeeping is forked shallowly
+    Shares the :class:`ParallelShardedDeltaNet` update/query surface —
+    the same shard queries, reducers and supervised fan-out — aimed at
+    the per-worker :class:`~repro.core.speculative.SpeculativeDeltaNet`
+    forks.  Router bookkeeping is forked shallowly
     (placement lists are popped/created whole, never mutated in place);
     staleness is enforced on both sides — the handle re-checks the
     parent's committed-mutation epoch before every touch, and a worker
@@ -1012,80 +994,24 @@ class ParallelSpeculation(ShardRouter):
                 f"({self._parent.mutations - self._base_mutations} "
                 "batch(es) behind); discard and re-speculate")
 
-    def _spec_fan_out(self, method: str, args: tuple = ()) -> List[object]:
+    def _gather(self, method: str, *args) -> List[object]:
         self.assert_fresh()
-        return self._parent._fan_out(
+        return self._parent._broadcast(
             "spec_query", (self.spec_id, method, args))
-
-    # -- updates -----------------------------------------------------------------
 
     def apply_batch(self, rules_to_insert: Iterable[Rule] = (),
                     rids_to_remove: Iterable[int] = (),
                     check: bool = True) -> List[Cycle]:
+        """Apply a batch to the forks, concurrently across shards."""
         self.assert_fresh()
-        per_shard = self.route_batch(list(rules_to_insert),
-                                     list(rids_to_remove))
-        loops: Dict[Cycle, None] = {}
-        for index, (shard_inserts, shard_removals) in enumerate(per_shard):
-            if not shard_inserts and not shard_removals:
-                continue
-            cycles = self._parent._call(
-                index, "spec_apply_batch",
-                (self.spec_id, shard_inserts, shard_removals, check))
-            for cycle in cycles:
-                loops.setdefault(cycle)
-        return list(loops)
-
-    def insert_rule(self, rule: Rule, check: bool = True) -> List[Cycle]:
-        return self.apply_batch([rule], (), check=check)
-
-    def remove_rule(self, rid: int, check: bool = True) -> List[Cycle]:
-        return self.apply_batch((), [rid], check=check)
-
-    # -- queries (reduce over the forks) ------------------------------------------
-
-    def flows_on(self, link) -> List[Tuple[int, int]]:
-        spans: List[Tuple[int, int]] = []
-        for shard_spans in self._spec_fan_out("flows_on", (link,)):
-            spans.extend(shard_spans)
-        return normalize(spans)
-
-    def links(self) -> List[Link]:
-        seen: Dict[Link, None] = {}
-        for shard_links in self._spec_fan_out("links"):
-            for link in shard_links:
-                seen.setdefault(link)
-        return list(seen)
-
-    def find_loops(self) -> List[Cycle]:
-        seen: Dict[Cycle, None] = {}
-        for shard_loops in self._spec_fan_out("find_loops"):
-            for cycle in shard_loops:
-                seen.setdefault(cycle)
-        return list(seen)
-
-    def reachable(self, src: object, dst: object) -> List[Tuple[int, int]]:
-        spans: List[Tuple[int, int]] = []
-        for shard_spans in self._spec_fan_out("reachable", (src, dst)):
-            spans.extend(shard_spans)
-        return normalize(spans)
-
-    def find_blackholes(self) -> Dict[object, List[Tuple[int, int]]]:
-        merged: Dict[object, IntervalSet] = {}
-        for shard_holes in self._spec_fan_out("find_blackholes"):
-            for node, spans in shard_holes.items():
-                merged[node] = merged.get(node, IntervalSet()) | IntervalSet(spans)
-        return {node: spans.spans for node, spans in merged.items()}
-
-    def shard_sizes(self) -> List[Tuple[int, int]]:
-        return list(self._spec_fan_out("stats"))
-
-    @property
-    def total_atoms(self) -> int:
-        return sum(atoms for _rules, atoms in self.shard_sizes())
-
-    def check_invariants(self) -> None:
-        self._spec_fan_out("check_invariants")
+        per_shard = self.route_batch(rules_to_insert, rids_to_remove)
+        replies, error = self._parent._fan_out("spec_apply_batch", {
+            index: (self.spec_id, shard_inserts, shard_removals, check)
+            for index, (shard_inserts, shard_removals) in enumerate(per_shard)
+            if shard_inserts or shard_removals})
+        if error is not None:
+            raise error
+        return _first_seen(replies.values())
 
     def state_digest(self):
         """Speculative state is ephemeral: no digest is maintained."""
@@ -1099,7 +1025,7 @@ class ParallelSpeculation(ShardRouter):
             return
         self._discarded = True
         try:
-            self._parent._fan_out("spec_discard", (self.spec_id,))
+            self._parent._broadcast("spec_discard", (self.spec_id,))
         except Exception:
             # A shard that lost its fork (restart) has nothing to drop.
             pass

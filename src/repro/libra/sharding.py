@@ -17,7 +17,7 @@ the property that made Libra scale out.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.checkers.loops import Loop, LoopChecker, find_forwarding_loops
 from repro.core.delta_graph import DeltaGraph
@@ -185,27 +185,17 @@ class ShardedDeltaNet(ShardRouter):
         shard's Delta-net, so the deltas are returned per shard rather
         than merged (the map step keeps shards fully independent).
         """
-        if rule.rid in self._placement:
-            raise ValueError(f"duplicate rule id {rule.rid}")
-        placement: List[Tuple[int, int]] = []
-        deltas: Dict[int, DeltaGraph] = {}
-        for index in self.shards_of_interval(rule.lo, rule.hi):
-            slice_lo, slice_hi = self.slices[index]
-            clipped_rid = self._next_clipped
-            self._next_clipped += 1
-            clipped = clip_rule(rule, clipped_rid, slice_lo, slice_hi)
-            deltas[index] = self.nets[index].insert_rule(clipped)
-            placement.append((index, clipped_rid))
-        self._placement[rule.rid] = placement
-        return deltas
+        per_shard = self.route_batch([rule])
+        return {index: self.nets[index].insert_rule(shard_inserts[0])
+                for index, (shard_inserts, _) in enumerate(per_shard)
+                if shard_inserts}
 
     def apply_remove(self, rid: int) -> Dict[int, DeltaGraph]:
         """Remove a rule; return each touched shard's delta-graph."""
-        placement = self._placement.pop(rid, None)
-        if placement is None:
-            raise KeyError(f"unknown rule id {rid}")
-        return {index: self.nets[index].remove_rule(clipped_rid)
-                for index, clipped_rid in placement}
+        per_shard = self.route_batch((), [rid])
+        return {index: self.nets[index].remove_rule(shard_removals[0])
+                for index, (_, shard_removals) in enumerate(per_shard)
+                if shard_removals}
 
     def apply_batch(self, rules_to_insert: Iterable[Rule] = (),
                     rids_to_remove: Iterable[int] = ()

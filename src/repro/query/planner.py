@@ -18,9 +18,8 @@ QueryResult` envelope:
   the affected atoms, from those same owning sources, following each by
   ``DeltaNet.next_hop``.
 
-Span results are computed through the same code paths the historical
-per-method surface used, so ``session.query(FlowsOn(link)).spans`` is
-bit-identical to the deprecated ``session.flows_on(link)``.
+Span results are canonical interval lists, so a query answers
+bit-identically on every backend (``tests/api/test_cross_backend.py``).
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from repro.api import (
 )
 from repro.core.intervals import IntervalSet
 from repro.core.rules import Rule
+from repro.query import FlowsOn, Loops
 
 from tests.conftest import random_rules
 
@@ -129,9 +130,10 @@ class TestSessionApplyBatch:
         batched.apply_batch(rules)
         batched.apply_batch((), removals)
         for link in one_by_one.links():
-            assert batched.flows_on(link) == one_by_one.flows_on(link)
-        assert sorted(map(repr, batched.find_loops())) == \
-            sorted(map(repr, one_by_one.find_loops()))
+            assert batched.query(FlowsOn(link)).spans \
+                == one_by_one.query(FlowsOn(link)).spans
+        assert sorted(map(repr, batched.query(Loops()).violations)) == \
+            sorted(map(repr, one_by_one.query(Loops()).violations))
         assert batched.find_blackholes() == one_by_one.find_blackholes()
 
     def test_merged_delta_reaches_the_result(self):
@@ -179,7 +181,7 @@ class TestSessionApplyBatch:
         session = VerificationSession(Minimal())
         result = session.apply_batch([Rule.forward(0, 0, 64, 1, "a", "b")])
         assert result.num_ops == 1
-        assert session.flows_on(("a", "b")) == [(0, 64)]
+        assert session.query(FlowsOn(("a", "b"))).spans == [(0, 64)]
 
     def test_parallel_nocheck_still_reports_loops_via_sweep(self):
         """With native checking off the backend must report loops=None,
@@ -223,9 +225,10 @@ class TestBatchedReplay:
         assert r_bat.num_ops == r_seq.num_ops == len(ops)
         assert len(r_bat.times) == len(ops)
         for link in sequential.session.links():
-            assert batched.session.flows_on(link) == \
-                sequential.session.flows_on(link)
-        assert batched.session.find_loops() == sequential.session.find_loops()
+            assert batched.session.query(FlowsOn(link)).spans == \
+                sequential.session.query(FlowsOn(link)).spans
+        assert batched.session.query(Loops()).violations \
+            == sequential.session.query(Loops()).violations
 
     def test_iter_batches_splits_conflicts(self):
         from repro.datasets.format import Op
@@ -261,5 +264,5 @@ class TestBatchedReplay:
         replay(stream, sequential)
         replay(stream, batched, batch_size=7)
         for link in sequential.session.links():
-            assert batched.session.flows_on(link) == \
-                sequential.session.flows_on(link)
+            assert batched.session.query(FlowsOn(link)).spans == \
+                sequential.session.query(FlowsOn(link)).spans

@@ -14,6 +14,7 @@ from repro.api import (
     LinkDown, LoopProperty, VerificationSession, available_backends,
 )
 from repro.core.rules import Rule
+from repro.query import FlowsOn, Loops, Reachable
 
 ALL = sorted(available_backends())
 WIDTH = 8
@@ -66,7 +67,8 @@ class TestCrossBackendEquivalence:
         assert links, "workload produced no labelled links"
         for backend, session in sessions.items():
             for link in links:
-                assert session.flows_on(link) == reference.flows_on(link), \
+                assert session.query(FlowsOn(link)).spans \
+                    == reference.query(FlowsOn(link)).spans, \
                     f"{backend} disagrees on {link}"
 
     def test_reachability_agrees_on_every_pair(self, sessions):
@@ -77,8 +79,8 @@ class TestCrossBackendEquivalence:
                 for dst in switches:
                     if src == dst:
                         continue
-                    assert (session.reachable(src, dst)
-                            == reference.reachable(src, dst)), \
+                    assert (session.query(Reachable(src, dst)).spans
+                            == reference.query(Reachable(src, dst)).spans), \
                         f"{backend} disagrees on {src}->{dst}"
 
     def test_blackholes_agree(self, sessions):
@@ -89,9 +91,9 @@ class TestCrossBackendEquivalence:
     def test_whatif_agrees(self, sessions):
         reference = sessions["deltanet"]
         for link in sorted(set(reference.links()), key=repr):
-            expected = reference.what_if_link_down(link)
+            expected = reference.query(LinkDown(link)).spans
             for backend, session in sessions.items():
-                assert session.what_if_link_down(link) == expected, \
+                assert session.query(LinkDown(link)).spans == expected, \
                     f"{backend} disagrees on failing {link}"
 
     @pytest.mark.parametrize("backend", ["deltanet", "sharded", "veriflow"])
@@ -114,9 +116,9 @@ class TestCrossBackendEquivalence:
             assert delivered == reference, backend
 
     def test_full_sweep_loops_agree(self, sessions):
-        reference = set(sessions["deltanet"].find_loops())
+        reference = set(sessions["deltanet"].query(Loops()).violations)
         for backend, session in sessions.items():
-            assert set(session.find_loops()) == reference, backend
+            assert set(session.query(Loops()).violations) == reference, backend
 
 
 class TestDeltanetVeriflowOnDataset:
@@ -145,5 +147,7 @@ class TestDeltanetVeriflowOnDataset:
             mono.apply(op)
             shard.apply(op)
         for link in mono.links():
-            assert shard.flows_on(link) == mono.flows_on(link)
-        assert set(shard.find_loops()) == set(mono.find_loops())
+            assert shard.query(FlowsOn(link)).spans \
+                == mono.query(FlowsOn(link)).spans
+        assert set(shard.query(Loops()).violations) \
+            == set(mono.query(Loops()).violations)

@@ -8,6 +8,7 @@ from repro.api import (
     propagate_intervals,
 )
 from repro.core.rules import Rule
+from repro.query import Loops, Reachable
 
 
 def chain(session):
@@ -22,7 +23,8 @@ class TestPropagateIntervals:
     def test_matches_uniform_reachable(self, backend):
         session = chain(VerificationSession(backend, width=8))
         reached = propagate_intervals(session.backend, "a")
-        assert reached["c"].spans == session.reachable("a", "c") == [(0, 8)]
+        assert reached["c"].spans \
+            == session.query(Reachable("a", "c")).spans == [(0, 8)]
 
     def test_avoid_cuts_the_path(self):
         session = chain(VerificationSession("deltanet", width=8))
@@ -103,4 +105,4 @@ class TestLoopPropertyIncrementalVsSweep:
         session.insert(Rule.forward(1, 0, 16, 1, "s2", "s3"))
         session.insert(Rule.forward(2, 0, 16, 1, "s3", "s1"))
         delivered = {v.signature[1] for v in session.violations()}
-        assert delivered == set(session.find_loops())
+        assert delivered == set(session.query(Loops()).violations)

@@ -1,14 +1,10 @@
-"""The unified Query API: typed queries, envelopes, codecs, and shims.
+"""The unified Query API: typed queries, envelopes and codecs.
 
 The redesign's contract in executable form: every backend answers the
 four first-class queries through ``session.query`` with one uniform
-:class:`~repro.query.QueryResult` envelope, the legacy per-method
-surface (``flows_on`` / ``reachable`` / ``what_if_link_down`` /
-``find_loops``) still returns bit-identical values while warning, and
-the wire codecs round-trip every query type.
+:class:`~repro.query.QueryResult` envelope, and the wire codecs
+round-trip every query type.
 """
-
-import warnings
 
 import pytest
 
@@ -95,39 +91,6 @@ class TestTypedQueries:
         session = ring_session("deltanet")
         with pytest.raises(TypeError):
             session.query("loops")
-        session.close()
-
-
-class TestDeprecatedShims:
-    """The old surface: identical answers, loud DeprecationWarning."""
-
-    @pytest.mark.parametrize("backend", ALL)
-    def test_shims_match_query_results(self, backend):
-        session = ring_session(backend)
-        session.insert(Rule.forward(3, 0, 128, 1, "c", "a"))
-        links = sorted(set(session.links()), key=repr)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for link in links:
-                assert session.flows_on(link) \
-                    == session.query(FlowsOn(link)).spans
-                assert session.what_if_link_down(link) \
-                    == session.query(LinkDown(link)).spans
-            assert session.reachable("a", "c") \
-                == session.query(Reachable("a", "c")).spans
-            assert sorted(session.find_loops()) \
-                == sorted(session.query(Loops()).violations)
-        session.close()
-
-    @pytest.mark.parametrize(
-        "call", [lambda s: s.flows_on(("a", "b")),
-                 lambda s: s.reachable("a", "c"),
-                 lambda s: s.what_if_link_down(("a", "b")),
-                 lambda s: s.find_loops()])
-    def test_shims_warn(self, call):
-        session = ring_session("deltanet")
-        with pytest.warns(DeprecationWarning):
-            call(session)
         session.close()
 
 

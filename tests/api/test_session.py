@@ -7,6 +7,7 @@ from repro.api import (
     VerificationSession, available_backends,
 )
 from repro.core.rules import Action, Rule
+from repro.query import FlowsOn, LinkDown, Loops, Reachable
 
 
 def ring(width=8):
@@ -86,7 +87,8 @@ class TestBatch:
             seq_deltas.append(sequential.insert(rule).delta)
         seq_deltas.append(sequential.remove(1).delta)
         for link in sequential.links():
-            assert batched.flows_on(link) == sequential.flows_on(link)
+            assert batched.query(FlowsOn(link)).spans \
+                == sequential.query(FlowsOn(link)).spans
         assert batched.num_rules == sequential.num_rules
         # The merged delta-graph equals the in-order merge of the
         # per-op delta-graphs (adds cancelling removes).
@@ -236,10 +238,10 @@ class TestQueriesEveryBackend:
         session = VerificationSession(backend, width=8)
         for rule in ring()[:2]:
             session.insert(rule)
-        assert session.flows_on(("s1", "s2")) == [(0, 16)]
-        assert session.reachable("s1", "s3") == [(0, 16)]
-        assert session.what_if_link_down(("s1", "s2")) == [(0, 16)]
-        assert session.find_loops() == []
+        assert session.query(FlowsOn(("s1", "s2"))).spans == [(0, 16)]
+        assert session.query(Reachable("s1", "s3")).spans == [(0, 16)]
+        assert session.query(LinkDown(("s1", "s2"))).spans == [(0, 16)]
+        assert session.query(Loops()).violations == []
         assert ("s3" in session.find_blackholes())
         assert session.num_rules == 2
         assert session.stats()["rules"] == 2

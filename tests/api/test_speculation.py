@@ -68,6 +68,8 @@ def _fingerprint(session):
         "reach": {(src, dst): [tuple(span) for span in
                                session.query(Reachable(src, dst)).spans]
                   for src in NODES for dst in NODES if src != dst},
+        "holes": {node: [tuple(span) for span in spans]
+                  for node, spans in session.find_blackholes().items()},
         "rules": sorted(session.rules()),
     }
 

@@ -23,6 +23,7 @@ from repro.checkers.loops import LoopChecker, find_forwarding_loops
 from repro.checkers.reachability import reachable_atoms
 from repro.checkers.waypoint import check_waypoint
 from repro.core.deltanet import DeltaNet
+from repro.query import Loops
 
 from tests.conftest import random_rules
 
@@ -151,7 +152,7 @@ class TestBackendsAgreeOnWatchedProperties:
             native = sessions["deltanet"].native
             assert {loop.cycle
                     for loop in sweep.sweep_find_forwarding_loops(native)} \
-                == {cycle for cycle in sessions["deltanet"].find_loops()}
+                == set(sessions["deltanet"].query(Loops()).violations)
             assert set(sweep.sweep_find_blackholes(native)) == \
                 set(sessions["deltanet"].find_blackholes())
         finally:

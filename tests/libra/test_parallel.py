@@ -133,7 +133,7 @@ class TestParallelLifecycle:
             # Broadcast a removal of clipped rid 0: it exists only in
             # shard 0's Delta-net, so shards 1-3 raise KeyError.
             with pytest.raises(KeyError):
-                par._fan_out("apply_batch", ([], [0], False))
+                par._broadcast("apply_batch", ([], [0], False))
             # Every reply was drained, so queries still pair up with
             # their own answers (a stale pipe would return loop lists
             # or the wrong shard's spans here).

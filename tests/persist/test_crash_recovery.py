@@ -19,6 +19,7 @@ from repro.api import (
     VerificationSession,
 )
 from repro.persist.snapshot import dumps_session, load_session
+from repro.query import Loops, Reachable
 from tests.conftest import random_rules
 
 BACKENDS = [
@@ -59,11 +60,11 @@ def run_ops(session, trace):
 
 def final_verdicts(session):
     return {
-        "loops": sorted(map(repr, session.find_loops())),
+        "loops": sorted(map(repr, session.query(Loops()).violations)),
         "blackholes": sorted(
             (repr(node), tuple(map(tuple, spans)))
             for node, spans in session.find_blackholes().items()),
-        "reachable": session.reachable("s0", "s2"),
+        "reachable": session.query(Reachable("s0", "s2")).spans,
         "deliveries": [v.signature for v in session.violations()],
         "rules": sorted(session.rules()),
     }

@@ -21,6 +21,7 @@ from repro.persist.snapshot import (
     SnapshotError, dumps_session, load_session, read_snapshot,
     snapshot_info, write_snapshot,
 )
+from repro.query import FlowsOn, Loops, Reachable
 from tests.conftest import random_rules
 
 BACKENDS = [
@@ -63,10 +64,10 @@ def fresh_properties():
 
 def observable_state(session):
     return {
-        "loops": sorted(map(repr, session.find_loops())),
+        "loops": sorted(map(repr, session.query(Loops()).violations)),
         "blackholes": {repr(node): spans for node, spans
                        in session.find_blackholes().items()},
-        "reach": session.reachable("s0", "s1"),
+        "reach": session.query(Reachable("s0", "s1")).spans,
         "rules": sorted(session.rules()),
         "violations": [v.signature for v in session.violations()],
         "sequence": session.sequence,
@@ -192,8 +193,8 @@ def test_generic_backend_fallback_roundtrip():
     restored = load_session(io.BytesIO(dumps_session(session)))
     assert restored.backend_name == "veriflow"
     assert sorted(restored.rules()) == sorted(session.rules())
-    assert sorted(map(repr, restored.find_loops())) == \
-        sorted(map(repr, session.find_loops()))
+    assert sorted(map(repr, restored.query(Loops()).violations)) == \
+        sorted(map(repr, session.query(Loops()).violations))
     assert restored.sequence == session.sequence
 
 
@@ -248,7 +249,8 @@ def test_backend_overrides_apply_on_load():
     restored = load_session(io.BytesIO(dumps_session(session)),
                             force_inline=True)
     assert restored.native.parallel is False
-    assert restored.flows_on(("a", "b")) == session.flows_on(("a", "b"))
+    assert restored.query(FlowsOn(("a", "b"))).spans \
+        == session.query(FlowsOn(("a", "b"))).spans
     session.close()
     restored.close()
 
