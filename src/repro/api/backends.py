@@ -333,13 +333,15 @@ class ShardedBackend(BackendAdapter):
             net.check_invariants()
 
     def snapshot_state(self):
+        from repro.persist.columns import pack_rules
+
         return {
             "kind": "sharded",
             "options": {"shards": self.native.num_shards,
                         "gc": self.native.nets[0].gc,
                         "check_loops": self._check_loops},
             "native": self.native.state_dict(),
-            "rules": [rule.to_state() for rule in self._rules.values()],
+            "rules": pack_rules(list(self._rules.values())),
         }
 
     def restore_state(self, state) -> None:
@@ -348,13 +350,11 @@ class ShardedBackend(BackendAdapter):
             return
         if self._rules:
             raise ValueError("restore_state requires a fresh backend")
-        from repro.core.rules import Rule
         from repro.libra.sharding import ShardedDeltaNet
+        from repro.persist.columns import unpack_rules
 
         self.native = ShardedDeltaNet.from_state(state["native"])
-        for rule_state in state["rules"]:
-            rule = Rule.from_state(rule_state)
-            self._rules[rule.rid] = rule
+        self._rules = {rule.rid: rule for rule in unpack_rules(state["rules"])}
 
     def stats(self):
         out = super().stats()
@@ -457,12 +457,14 @@ class ParallelShardedBackend(BackendAdapter):
         self.native.check_invariants()
 
     def snapshot_state(self):
+        from repro.persist.columns import pack_rules
+
         return {
             "kind": "parallel",
             "options": {"shards": self.native.num_shards,
                         "check_loops": self._check_loops},
             "native": self.native.state_dict(),
-            "rules": [rule.to_state() for rule in self._rules.values()],
+            "rules": pack_rules(list(self._rules.values())),
         }
 
     def restore_state(self, state) -> None:
@@ -478,8 +480,8 @@ class ParallelShardedBackend(BackendAdapter):
             return
         if self._rules:
             raise ValueError("restore_state requires a fresh backend")
-        from repro.core.rules import Rule
         from repro.libra.parallel import ParallelShardedDeltaNet
+        from repro.persist.columns import unpack_rules
 
         native_state = state["native"]
         slices = [tuple(pair) for pair in native_state["slices"]]
@@ -497,9 +499,7 @@ class ParallelShardedBackend(BackendAdapter):
                 restart_backoff=old.restart_backoff,
                 reseed_every=old.reseed_every, log=old._log)
             old.close()
-        for rule_state in state["rules"]:
-            rule = Rule.from_state(rule_state)
-            self._rules[rule.rid] = rule
+        self._rules = {rule.rid: rule for rule in unpack_rules(state["rules"])}
 
     def stats(self):
         out = super().stats()

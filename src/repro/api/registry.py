@@ -383,10 +383,12 @@ class BackendAdapter(abc.ABC):
         snapshots (Delta-net and the sharded variants) override both
         for warm starts.
         """
+        from repro.persist.columns import pack_rules
+
         return {
             "kind": "generic",
             "options": self._snapshot_options(),
-            "rules": [rule.to_state() for rule in self._rules.values()],
+            "rules": pack_rules(list(self._rules.values())),
         }
 
     def _snapshot_options(self) -> Dict[str, Any]:
@@ -398,10 +400,12 @@ class BackendAdapter(abc.ABC):
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Rebuild this (freshly constructed) adapter from ``state``."""
+        from repro.persist.columns import unpack_rules
+
         if self._rules:
             raise ValueError("restore_state requires a fresh backend")
-        for rule_state in state["rules"]:
-            self.insert(Rule.from_state(rule_state))
+        for rule in unpack_rules(state["rules"]):
+            self.insert(rule)
 
     # -- integrity (see repro.integrity) ----------------------------------------
 

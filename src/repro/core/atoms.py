@@ -30,6 +30,7 @@ be merged back into its predecessor and its identifier recycled.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.integrity.digest import BoundaryDigest, digests_enabled
@@ -151,6 +152,10 @@ class AtomTable:
 
     def boundaries(self) -> List[int]:
         return [bound for keys in self._keys for bound in keys]
+
+    def live_atoms(self) -> List[int]:
+        """Every live atom id, in address order."""
+        return list(chain.from_iterable(self._vals))[:-1]
 
     # -- CREATE_ATOMS+ (Algorithm 1, line 2) ----------------------------------
 
@@ -361,33 +366,45 @@ class AtomTable:
     # -- persistence (see repro.persist) ---------------------------------------
 
     def state_dict(self) -> dict:
-        """The table's full state as deterministic plain data.
+        """The table's full state as packed int columns
+        (:mod:`repro.persist.columns`).
 
         Boundaries are emitted in ascending order and the free-id stack
         in stack order, so restored id recycling matches exactly.
         """
+        from repro.persist.columns import pack_chunks, pack_columns, pack_ints
+
+        ref_bounds = sorted(self._bound_refs)
         return {
             "width": self.width,
-            "boundaries": list(self._items()),
+            "boundaries": {"bound": pack_chunks(self._keys),
+                           "atom": pack_chunks(self._vals)},
             "allocated": len(self._start),
-            "free": list(self._free),
-            "bound_refs": sorted(self._bound_refs.items()),
+            "free": pack_ints(self._free),
+            "bound_refs": pack_columns({
+                "bound": ref_bounds,
+                "count": [self._bound_refs[bound] for bound in ref_bounds]}),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "AtomTable":
         """Rebuild a table; exact inverse of :meth:`state_dict`.
 
-        The blocks are cut from the stored boundary list in one pass, so
-        its order is trusted and therefore checked first: a malformed
-        field raises :class:`ValueError` naming it.  A ``"rng"`` entry
+        The blocks are cut from the stored boundary column in one pass,
+        so its order is trusted and therefore checked first: a malformed
+        field raises :class:`ValueError` naming it.  The v1-v3 list
+        forms are read through the same checks; their ``"rng"`` entry
         (written up to snapshot v2) is ignored.
         """
+        from repro.persist.columns import unpack_column, unpack_columns
+
         table = cls(width=state["width"])
-        bounds = [bound for bound, _atom in state["boundaries"]]
-        atoms = [atom for _bound, atom in state["boundaries"]]
+        bounds, atoms = unpack_columns(state["boundaries"], ("bound", "atom"),
+                                       "boundaries")
         allocated = state["allocated"]
-        free = list(state["free"])
+        free = unpack_column(state["free"], "free")
+        ref_bounds, ref_counts = unpack_columns(
+            state["bound_refs"], ("bound", "count"), "bound_refs")
         if (len(bounds) < 2
                 or (bounds[0], atoms[0]) != (table.min, 0)
                 or (bounds[-1], atoms[-1]) != (table.max, ATOM_INF)
@@ -414,8 +431,7 @@ class AtomTable:
             for bound, atom in zip(bounds[1:-1], atoms[1:-1]):
                 table.digest.add(bound, atom)
         table._free = free
-        table._bound_refs = {bound: count
-                             for bound, count in state["bound_refs"]}
+        table._bound_refs = dict(zip(ref_bounds, ref_counts))
         return table
 
     def __repr__(self) -> str:

@@ -462,21 +462,21 @@ class DeltaNet:
         canonical function of its key set — so :meth:`from_state`
         rebuilds them exactly from the rule store.  What is stored is
         the compact ground truth: atom table, rules, run-length labels
-        and GC refcounts.
+        and GC refcounts, as packed int columns over one node table
+        (:mod:`repro.persist.columns`).
         """
-        by_repr = repr  # labels/nodes sorted for byte-stable snapshots
-        labels = sorted(
-            ((link.source, link.target, runs.runs())
-             for link, runs in self.label.items() if runs),
-            key=lambda entry: (by_repr(entry[0]), by_repr(entry[1])))
+        from repro.persist.columns import NodeTable, pack_labels, pack_rules
+
+        # Nodes sorted by repr, labels by node index: byte-stable saves.
+        table = NodeTable(sorted(self.nodes, key=repr))
         return {
             "width": self.width,
             "gc": self.gc,
             "atoms": self.atoms.state_dict(),
-            "rules": [self.rules[rid].to_state()
-                      for rid in sorted(self.rules)],
-            "labels": labels,
-            "nodes": sorted(self.nodes, key=by_repr),
+            "rules": pack_rules([self.rules[rid] for rid in sorted(self.rules)],
+                                table),
+            "labels": pack_labels(self.label, table),
+            "nodes": table.nodes,
         }
 
     @classmethod
@@ -490,23 +490,24 @@ class DeltaNet:
         original's (canonical treaps), so every later update and check
         behaves exactly as if the process had never restarted.
         """
+        from repro.persist.columns import unpack_labels, unpack_rules
+
         net = cls(width=state["width"], gc=state["gc"])
         net.atoms = AtomTable.from_state(state["atoms"])
         net._owner = [None] * max(1, net.atoms.num_ids_allocated)
-        for _bound, atom in state["atoms"]["boundaries"]:
-            if atom >= 0:
-                net._owner[atom] = {}
-        for source, target, runs in state["labels"]:
-            net.findex.set_label(Link(source, target),
-                                 AtomRuns.from_runs(runs))
-        net.nodes = set(state["nodes"])
+        for atom in net.atoms.live_atoms():
+            net._owner[atom] = {}
+        nodes = list(state["nodes"])
+        rules = unpack_rules(state["rules"], nodes)
+        for link, runs in unpack_labels(state["labels"], nodes):
+            net.findex.set_label(link, AtomRuns.from_runs(runs))
+        net.nodes = {node for node in nodes if node is not None}
         heap_prio = ptreap.heap_prio
         node_cls = ptreap.PNode
         pt_insert = ptreap.insert
         atoms_in = net.atoms.atoms_in
         owner = net._owner
-        for rule_state in state["rules"]:
-            rule = Rule.from_state(rule_state)
+        for rule in rules:
             net.rules[rule.rid] = rule
             key = rule.sort_key
             prio = heap_prio(key)

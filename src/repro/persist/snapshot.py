@@ -25,8 +25,9 @@ A *session* snapshot has sections:
   the session's update ``sequence`` (the journal replay cursor), and
   the backend's constructor options,
 * ``backend`` — the backend's ``snapshot_state()`` (for Delta-net: the
-  atom table, run-length labels, rule store and GC refcounts; sharded
-  backends nest one such state per shard),
+  atom table, run-length labels, rule store and GC refcounts, as packed
+  int columns — :mod:`repro.persist.columns`; sharded backends nest one
+  such state per shard),
 * ``properties`` — each watched property's spec, internal state and
   delivered-violation signatures, so restored subscriptions neither
   re-alert old violations nor miss re-introduced ones,
@@ -52,7 +53,7 @@ import zlib
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.persist.codec import (
-    CodecError, decode, encode, read_uvarint, write_uvarint,
+    CodecError, _encode_into, decode, encode, read_uvarint, write_uvarint,
 )
 
 MAGIC = b"DNETSNAP"
@@ -62,7 +63,12 @@ MAGIC = b"DNETSNAP"
 #: PRNG state; the treap is gone).  Readers before v3 index that key, so
 #: the bump makes them refuse a v3 file instead of failing inside a
 #: restore; v1/v2 files load here and their ``"rng"`` is ignored.
-SNAPSHOT_VERSION = 3
+#: v4: Delta-net's rule store, labels and atom table, and the adapters'
+#: rule lists, are packed int columns over an interned node table
+#: (:mod:`repro.persist.columns`), so save and load copy them in C
+#: instead of making one codec call per int.  v1-v3 fields are read as
+#: the lists they are and converted to columns where they are read.
+SNAPSHOT_VERSION = 4
 
 Pathish = Union[str, "os.PathLike[str]"]
 
@@ -90,17 +96,38 @@ def write_snapshot(stream: BinaryIO,
         raw_name = name.encode("utf-8")
         if not raw_name:
             raise SnapshotError("section names must be non-empty")
-        payload = encode(value)
+        # The payload's chunks go to the stream as the codec made them:
+        # packed columns are written from the state that holds them,
+        # never joined into a second copy of the section first.
+        chunks: List[bytes] = []
+        _encode_into(value, chunks)
+        crc = zlib.crc32(raw_name)
+        for chunk in chunks:
+            crc = zlib.crc32(chunk, crc)
         _write_uvarint(stream, len(raw_name))
         stream.write(raw_name)
-        _write_uvarint(stream, len(payload))
-        stream.write(payload)
-        stream.write(struct.pack(">I", zlib.crc32(payload, zlib.crc32(raw_name))))
+        _write_uvarint(stream, sum(map(len, chunks)))
+        stream.writelines(chunks)
+        stream.write(struct.pack(">I", crc))
     _write_uvarint(stream, 0)
+
+
+def _stream_end(stream: BinaryIO) -> Optional[int]:
+    """The offset of ``stream``'s end, or ``None`` if it cannot seek."""
+    try:
+        if not stream.seekable():
+            return None
+        here = stream.tell()
+        end = stream.seek(0, io.SEEK_END)
+        stream.seek(here)
+        return end
+    except (AttributeError, OSError):
+        return None
 
 
 def iter_snapshot(stream: BinaryIO) -> Iterable[Tuple[str, Any]]:
     """Stream ``(name, value)`` sections, verifying magic/version/CRCs."""
+    end = _stream_end(stream)
     header = stream.read(len(MAGIC) + 2)
     if len(header) != len(MAGIC) + 2 or not header.startswith(MAGIC):
         raise SnapshotError("not a DNETSNAP snapshot")
@@ -117,6 +144,10 @@ def iter_snapshot(stream: BinaryIO) -> Iterable[Tuple[str, Any]]:
         if len(name) != name_len:
             raise SnapshotError("truncated section name")
         payload_len = _read_uvarint(stream)
+        # A corrupt length must fail as truncation, not as an attempt
+        # to allocate it (a file read of 2**40 bytes is a MemoryError).
+        if end is not None and payload_len > end - stream.tell():
+            raise SnapshotError("truncated section payload")
         payload = stream.read(payload_len)
         crc_raw = stream.read(4)
         if len(payload) != payload_len or len(crc_raw) != 4:

@@ -97,6 +97,10 @@ class AtomRuns:
         """The ``(start, end)`` half-open runs, ascending."""
         return list(zip(self._starts, self._ends))
 
+    def columns(self) -> Tuple[List[int], List[int]]:
+        """The ``starts`` and ``ends`` arrays themselves (read-only)."""
+        return self._starts, self._ends
+
     def copy(self) -> "AtomRuns":
         out = AtomRuns()
         out._starts = list(self._starts)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core import atoms as atoms_module
 from repro.core.atoms import ATOM_INF, LOAD, AtomTable
 from repro.core.prefix import prefix_to_interval
+from repro.persist.columns import pack_columns, pack_ints
 
 
 def interval_strategy(width):
@@ -420,7 +421,8 @@ class TestBlockedStore:
 
 
 class TestFromStateValidation:
-    """``from_state`` cuts blocks from the list as given, so it checks it."""
+    """``from_state`` cuts blocks from the columns as given, so it checks
+    them — and the v1-v3 row lists, read through the same checks."""
 
     def state(self, **changes):
         table = AtomTable(width=8)
@@ -431,6 +433,11 @@ class TestFromStateValidation:
         assert AtomTable.from_state(state).state_dict() == state
         state.update(changes)
         return state
+
+    @staticmethod
+    def columns(boundaries):
+        return pack_columns({"bound": [bound for bound, _ in boundaries],
+                             "atom": [atom for _, atom in boundaries]})
 
     @pytest.mark.parametrize("boundaries", [
         [(0, 0), (20, 2), (10, 1), (40, 4), (256, ATOM_INF)],   # unsorted
@@ -444,7 +451,24 @@ class TestFromStateValidation:
     ])
     def test_malformed_boundaries(self, boundaries):
         with pytest.raises(ValueError, match="boundaries"):
+            AtomTable.from_state(self.state(
+                boundaries=self.columns(boundaries)))
+        with pytest.raises(ValueError, match="boundaries"):
             AtomTable.from_state(self.state(boundaries=boundaries))
+
+    @pytest.mark.parametrize("field,columns", [
+        ("boundaries", {"bound": [0, 10, 20, 40, 256],
+                        "atom": [0, 1, 2, 4]}),
+        ("bound_refs", {"bound": [10, 20], "count": [1]}),
+    ])
+    def test_columns_of_unequal_length(self, field, columns):
+        with pytest.raises(ValueError,
+                           match=f"{field}: columns of unequal length"):
+            AtomTable.from_state(self.state(**{field: pack_columns(columns)}))
+
+    def test_malformed_column_bytes(self):
+        with pytest.raises(ValueError, match="free: malformed int column"):
+            AtomTable.from_state(self.state(free=b"\x02\x01\x00\x00\x00!"))
 
     def test_live_id_beyond_allocated(self):
         with pytest.raises(ValueError, match="allocated"):
@@ -458,7 +482,16 @@ class TestFromStateValidation:
     ])
     def test_malformed_free_list(self, free):
         with pytest.raises(ValueError, match="free"):
+            AtomTable.from_state(self.state(free=pack_ints(free)))
+        with pytest.raises(ValueError, match="free"):
             AtomTable.from_state(self.state(free=free))
+
+    def test_v3_row_lists_restore_the_same_table(self):
+        state = self.state()
+        rows = dict(state, boundaries=[(0, 0), (10, 1), (20, 2), (40, 4),
+                                       (256, ATOM_INF)],
+                    free=[3], bound_refs=[])
+        assert AtomTable.from_state(rows).state_dict() == state
 
     def test_stored_rng_is_ignored(self):
         state = self.state(rng=(3, (1, 2, 3), None))

@@ -115,7 +115,7 @@ def test_save_load_save_is_byte_identical(backend, options):
     restored.close()
 
 
-# -- the version-2 fixture -----------------------------------------------------
+# -- the version-2 and version-3 fixtures ---------------------------------------
 
 #: ``dumps_session`` of ``v2_fixture_session()`` as written by commit
 #: 7cd3a97, the last to store the boundary treap's PRNG state ("rng") in
@@ -124,6 +124,11 @@ def test_save_load_save_is_byte_identical(backend, options):
 #: open(V2_FIXTURE, 'wb').write(dumps_session(v2_fixture_session()))"``.
 V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                           "session_v2.snap")
+#: The same session written by commit 7643672 with the same recipe
+#: (``V3_FIXTURE`` for ``V2_FIXTURE``), the last to store rules, labels
+#: and the atom table as lists of codec values rather than packed columns.
+V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                          "session_v3.snap")
 V2_FIXTURE_OPS = 110
 
 
@@ -160,11 +165,16 @@ def atom_ids_digest_and_log(session):
              for v in session.violations()])
 
 
-def test_version2_fixture_restores_and_continues_like_a_live_session():
-    with open(V2_FIXTURE, "rb") as stream:
+@pytest.mark.parametrize("fixture,version", [(V2_FIXTURE, 2), (V3_FIXTURE, 3)],
+                         ids=["v2", "v3"])
+def test_version2_fixture_restores_and_continues_like_a_live_session(
+        fixture, version):
+    with open(fixture, "rb") as stream:
         blob = stream.read()
-    assert blob[8:10] == b"\x00\x02"
-    assert "rng" in read_snapshot(io.BytesIO(blob))["backend"]["native"]["atoms"]
+    assert blob[8:10] == bytes((0, version))
+    atoms = read_snapshot(io.BytesIO(blob))["backend"]["native"]["atoms"]
+    assert ("rng" in atoms) == (version == 2)
+    assert isinstance(atoms["boundaries"], list)  # rows, not columns
     # load_session checks the trailer digest against the restored state.
     restored = load_session(io.BytesIO(blob), verify=True)
     live = v2_fixture_session()
@@ -179,11 +189,15 @@ def test_version2_fixture_restores_and_continues_like_a_live_session():
 
 
 def test_version3_snapshot_drops_the_treap_prng():
+    """Still true at version 4, whose packed columns also make the same
+    session's snapshot smaller than the v3 fixture."""
     blob = dumps_session(v2_fixture_session())
-    assert blob[8:10] == b"\x00\x03"
-    assert "rng" not in read_snapshot(
-        io.BytesIO(blob))["backend"]["native"]["atoms"]
+    assert blob[8:10] == b"\x00\x04"
+    native = read_snapshot(io.BytesIO(blob))["backend"]["native"]
+    assert "rng" not in native["atoms"]
+    assert isinstance(native["rules"]["rid"], bytes)
     assert len(blob) <= os.path.getsize(V2_FIXTURE) - 3500
+    assert len(blob) < os.path.getsize(V3_FIXTURE)
 
 
 def test_generic_backend_fallback_roundtrip():
@@ -324,3 +338,22 @@ def test_unknown_sections_are_ignored():
     sections = read_snapshot(io.BytesIO(buffer.getvalue()))
     assert sections["meta"] == {"a": 1}
     assert "from_the_future" in sections  # delivered, caller may skip
+
+
+def test_corrupt_section_length_on_disk_is_truncation_not_memory_error(
+        tmp_path):
+    # A length varint that reads 2**62: from a file, read() would try to
+    # allocate it (MemoryError) before noticing the file is 30 bytes.
+    import struct
+
+    from repro.persist.codec import write_uvarint
+
+    path = tmp_path / "snapshot.bin"
+    with open(path, "wb") as stream:
+        stream.write(b"DNETSNAP" + struct.pack(">H", 3))
+        stream.write(bytes([4]) + b"meta")
+        write_uvarint(stream, 1 << 62)
+        stream.write(b"\x00" * 8)
+    for read in (load_session, snapshot_info, read_snapshot):
+        with pytest.raises(SnapshotError, match="truncated section payload"):
+            read(path)
