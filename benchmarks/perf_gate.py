@@ -39,15 +39,6 @@ Suites, selected with ``--suite``:
   ``BENCH_serve_throughput.json``.  This gates the daemon's request
   path — framing, hub routing, per-session writer queues, locking —
   not the verifier underneath (update_latency owns that).
-* ``recovery_latency`` — the parallel backend's supervised worker
-  recovery: SIGKILL one shard worker of a ``size``-rule instance and
-  time restart + snapshot re-seed + replay to the next correct answer
-  (``supervised``), against tearing the whole verifier down and
-  rebuilding it from the rule stream (``cold-rebuild``, the
-  pre-supervision response to a dead worker).  Baseline
-  ``BENCH_recovery_latency.json``, with a machine-independent >=
-  :data:`TARGET_RECOVERY_SPEEDUP` x floor on cold/supervised at the
-  acceptance scale.
 * ``whatif_latency`` — the Query API's what-if paths: goal-directed
   single-link queries (``goal``) vs an undirected whole-network loop
   sweep (``sweep``), and k-candidate speculative evaluation as
@@ -101,7 +92,6 @@ DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_update_latency.json")
 CHECK_BASELINE = os.path.join(REPO_ROOT, "BENCH_check_latency.json")
 WARM_BASELINE = os.path.join(REPO_ROOT, "BENCH_warm_start.json")
 SCENARIO_BASELINE = os.path.join(REPO_ROOT, "BENCH_scenario_latency.json")
-RECOVERY_BASELINE = os.path.join(REPO_ROOT, "BENCH_recovery_latency.json")
 AUDIT_BASELINE = os.path.join(REPO_ROOT, "BENCH_audit_overhead.json")
 SERVE_BASELINE = os.path.join(REPO_ROOT, "BENCH_serve_throughput.json")
 WHATIF_BASELINE = os.path.join(REPO_ROOT, "BENCH_whatif_latency.json")
@@ -118,14 +108,7 @@ VARIANTS: Dict[str, dict] = {
                                      check=False),
     "sharded": dict(engine="sharded", batch=None, check=True),
     "sharded-batched": dict(engine="sharded", batch=1000, check=True),
-    "parallel-batched": dict(engine="parallel", batch=1000, check=True),
 }
-
-#: Variants the regression gate enforces.  The parallel variant is
-#: recorded for trajectory but not gated: its throughput depends on the
-#: host's core count, which calibration cannot normalize away.
-GATED_VARIANTS = ("deltanet", "deltanet-batched", "deltanet-nocheck",
-                  "deltanet-batched-nocheck", "sharded", "sharded-batched")
 
 #: The headline acceptance ratio the baseline must demonstrate:
 #: batched Delta-net vs. the sequential per-op path, ops/sec.  The
@@ -175,21 +158,6 @@ WARM_BUILD_BATCH = 1000
 #: about.
 TARGET_WARM_SPEEDUP = 5.0
 WARM_FLOOR_SIZE = 50000
-
-#: recovery_latency suite — supervised worker recovery vs rebuilding
-#: the whole parallel verifier from the rule stream.
-RECOVERY_VARIANTS = ("supervised", "cold-rebuild")
-RECOVERY_SHARDS = 4
-#: Worker kills timed per supervised measurement (mean reported).
-RECOVERY_ROUNDS = 5
-#: The recovery acceptance ratio: one supervised restart + re-seed must
-#: beat a full cold rebuild by this factor at the acceptance scale.
-#: Machine-independent — both sides run on the same host.  Restart cost
-#: is per-shard (snapshot restore + a bounded replay buffer) while the
-#: rebuild is O(stream), so the ratio grows with size; gate only at
-#: RECOVERY_FLOOR_SIZE for the same reason warm_start gates at 50k.
-TARGET_RECOVERY_SPEEDUP = 3.0
-RECOVERY_FLOOR_SIZE = 20000
 
 #: audit_overhead suite — the online-digest tax on the per-update path:
 #: the same checked per-op replay as ``update_latency``'s ``deltanet``
@@ -522,121 +490,6 @@ def measure_audit_variant(variant: str, size: int) -> dict:
         engine.close()
 
 
-def _recovery_apply_all(par, ops, batch: int = 1000) -> None:
-    """Apply the ops stream in aggregated unchecked batches.
-
-    Flushes before a removal of a rule still pending in the same batch
-    (apply_batch removes first, so such a pair must not share one).
-    """
-    pending_rules: List = []
-    pending_rids: List[int] = []
-    pending_inserted: set = set()
-
-    def flush() -> None:
-        if pending_rules or pending_rids:
-            par.apply_batch(pending_rules, pending_rids, check=False)
-            pending_rules.clear()
-            pending_rids.clear()
-            pending_inserted.clear()
-
-    for op in ops:
-        if op.is_insert:
-            pending_rules.append(op.rule)
-            pending_inserted.add(op.rule.rid)
-        else:
-            if op.rid in pending_inserted:
-                flush()
-            pending_rids.append(op.rid)
-        if len(pending_rules) + len(pending_rids) >= batch:
-            flush()
-    flush()
-
-
-def measure_recovery_variant(variant: str, size: int) -> dict:
-    """One recovery_latency measurement; runs inside its own process.
-
-    ``supervised`` builds a process-mode parallel verifier (untimed
-    scaffolding), then :data:`RECOVERY_ROUNDS` times SIGKILLs one shard
-    worker and times the next fan-out query — detection, restart,
-    snapshot re-seed, replay-buffer replay, and the answer itself.
-    ``restart_backoff=0`` isolates the mechanism: the backoff sleep is
-    a retry-storm policy constant, not a cost of recovery.
-
-    ``cold-rebuild`` times the pre-supervision response to the same
-    dead worker: tear everything down and rebuild the verifier from the
-    rule stream (unchecked batches — alerts were already delivered),
-    ending at the same answered query.
-    """
-    from repro.libra.parallel import ParallelShardedDeltaNet
-    from repro.libra.sharding import even_shards
-
-    ops = synthetic_update_workload(size)
-    slices = even_shards(RECOVERY_SHARDS, 32)
-    knobs = dict(width=32, deadline=60.0, restart_backoff=0.0,
-                 reseed_every=512)
-    clock = time.perf_counter
-    if variant == "supervised":
-        par = ParallelShardedDeltaNet(slices, **knobs)
-        try:
-            if not par.parallel:
-                raise RuntimeError(
-                    "recovery_latency needs real worker processes; "
-                    "this host cannot spawn them")
-            _recovery_apply_all(par, ops)
-            reference = par.shard_sizes()
-            times: List[float] = []
-            for round_index in range(RECOVERY_ROUNDS):
-                shard = round_index % RECOVERY_SHARDS
-                endpoint = par._workers[shard]
-                endpoint.process.kill()
-                endpoint.process.join(timeout=5)
-                start = clock()
-                answer = par.shard_sizes()
-                times.append(clock() - start)
-                if answer != reference:
-                    raise RuntimeError(
-                        f"recovery diverged on round {round_index}: "
-                        f"{answer} != {reference}")
-            if par.restarts != RECOVERY_ROUNDS or par.degraded:
-                raise RuntimeError(
-                    f"expected {RECOVERY_ROUNDS} clean restarts, got "
-                    f"{par.restarts} (degraded={par.degraded})")
-            elapsed = sum(times) / len(times)
-            entry = {
-                "rounds": RECOVERY_ROUNDS,
-                "restarts": par.restarts,
-                "recovery_seconds_max": round(max(times), 4),
-                "rules": par.num_rules,
-            }
-        finally:
-            par.close()
-    else:
-        start = clock()
-        par = ParallelShardedDeltaNet(slices, **knobs)
-        try:
-            if not par.parallel:
-                raise RuntimeError(
-                    "recovery_latency needs real worker processes; "
-                    "this host cannot spawn them")
-            _recovery_apply_all(par, ops)
-            par.shard_sizes()
-            elapsed = clock() - start
-            entry = {"rules": par.num_rules}
-        finally:
-            par.close()
-    entry.update({
-        "variant": variant,
-        "suite": "recovery_latency",
-        "size": size,
-        "shards": RECOVERY_SHARDS,
-        "seconds": round(elapsed, 4),
-        # recoveries (or rebuilds) per second — the gated throughput.
-        "ops_per_sec": round(1.0 / elapsed, 2),
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    })
-    return entry
-
-
 def measure_scenario_variant(family: str, size: int) -> dict:
     """One scenario_latency measurement; runs inside its own process.
 
@@ -697,12 +550,11 @@ def _measure_in_subprocess(variant: str, size: int,
     return json.loads(proc.stdout)
 
 
-def run_benchmark(sizes, variants=None, echo=print) -> dict:
+def run_benchmark(sizes, echo=print) -> dict:
     """The full measurement matrix, as the JSON-serializable document."""
-    chosen = list(variants) if variants is not None else list(VARIANTS)
     results: Dict[str, dict] = {}
     for size in sizes:
-        for variant in chosen:
+        for variant in VARIANTS:
             echo(f"  measuring {variant} @ {size} rules ...")
             entry = _measure_in_subprocess(variant, size)
             results[f"{variant}@{size}"] = entry
@@ -808,48 +660,6 @@ def run_warm_benchmark(sizes, echo=print) -> dict:
             if warm and entry:
                 speedups[f"warm-vs-{reference}@{size}"] = round(
                     entry["seconds"] / warm["seconds"], 2)
-    return document
-
-
-def run_recovery_benchmark(sizes, echo=print) -> dict:
-    """The recovery_latency matrix, as the JSON-serializable document."""
-    results: Dict[str, dict] = {}
-    for size in sizes:
-        for variant in RECOVERY_VARIANTS:
-            echo(f"  measuring recovery:{variant} @ {size} rules ...")
-            entry = _measure_in_subprocess(variant, size,
-                                           suite="recovery_latency")
-            results[f"{variant}@{size}"] = entry
-            if variant == "supervised":
-                echo(f"    {entry['seconds']}s mean per recovery "
-                     f"(max {entry['recovery_seconds_max']}s, "
-                     f"{entry['rounds']} worker kills)")
-            else:
-                echo(f"    {entry['seconds']}s full rebuild")
-    document = {
-        "schema": SCHEMA_VERSION,
-        "workload": {
-            "name": "recovery-latency",
-            "seed": WORKLOAD_SEED,
-            "sizes": list(sizes),
-            "shards": RECOVERY_SHARDS,
-            "rounds": RECOVERY_ROUNDS,
-            "description": "SIGKILL one shard worker of a process-mode "
-                           "parallel verifier; supervised = restart + "
-                           "snapshot re-seed + replay to the next "
-                           "correct answer, cold-rebuild = rebuild the "
-                           "verifier from the rule stream",
-        },
-        "calibration_score": round(calibration_score(), 1),
-        "results": results,
-    }
-    for size in sizes:
-        supervised = results.get(f"supervised@{size}")
-        cold = results.get(f"cold-rebuild@{size}")
-        if supervised and cold:
-            document.setdefault("speedups", {})[
-                f"supervised-vs-rebuild@{size}"] = round(
-                    cold["seconds"] / supervised["seconds"], 2)
     return document
 
 
@@ -994,58 +804,6 @@ def compare_scenario_to_baseline(current: dict, baseline_path: str,
     return failures
 
 
-def compare_recovery_to_baseline(current: dict, baseline_path: str,
-                                 tolerance: float, echo=print) -> List[str]:
-    """Regressed keys of a recovery_latency run vs the baseline.
-
-    Gates the ``supervised`` variant's calibration-normalized recovery
-    rate (recoveries/sec) and the machine-independent
-    supervised-vs-rebuild speedup floor at the acceptance scale.  The
-    cold rebuild is recorded for the ratio but not gated — the
-    update_latency suite already owns raw replay throughput.
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    factor = current["calibration_score"] / baseline["calibration_score"]
-    echo(f"calibration: baseline={baseline['calibration_score']:,.0f} "
-         f"current={current['calibration_score']:,.0f} "
-         f"(machine factor {factor:.2f}x)")
-    failures = []
-    for key, entry in current["results"].items():
-        if not key.startswith("supervised@"):
-            continue
-        reference = baseline["results"].get(key)
-        if reference is None:
-            echo(f"  {key}: no baseline entry, skipping")
-            continue
-        expected = reference["ops_per_sec"] * factor
-        floor = expected * (1.0 - tolerance)
-        status = "ok" if entry["ops_per_sec"] >= floor else "REGRESSION"
-        echo(f"  {key}: {entry['ops_per_sec']:,.2f} recoveries/s "
-             f"(baseline-normalized {expected:,.2f}, floor {floor:,.2f}) "
-             f"{status}")
-        if status != "ok":
-            failures.append(key)
-    for size in current["workload"]["sizes"]:
-        supervised = current["results"].get(f"supervised@{size}")
-        cold = current["results"].get(f"cold-rebuild@{size}")
-        if supervised and cold:
-            ratio = cold["seconds"] / supervised["seconds"]
-            if size < RECOVERY_FLOOR_SIZE:
-                echo(f"  supervised recovery speedup @ {size}: "
-                     f"{ratio:.2f}x vs cold rebuild (recorded; floor "
-                     f"gated at >= {RECOVERY_FLOOR_SIZE} rules only)")
-                continue
-            status = ("ok" if ratio >= TARGET_RECOVERY_SPEEDUP
-                      else "REGRESSION")
-            echo(f"  supervised recovery speedup @ {size}: {ratio:.2f}x "
-                 f"vs cold rebuild (target >= "
-                 f"{TARGET_RECOVERY_SPEEDUP}x) {status}")
-            if status != "ok":
-                failures.append(f"recovery-speedup@{size}")
-    return failures
-
-
 def compare_warm_to_baseline(current: dict, baseline_path: str,
                              tolerance: float, echo=print) -> List[str]:
     """Regressed keys of a warm_start run vs the committed baseline.
@@ -1158,8 +916,6 @@ def compare_to_baseline(current: dict, baseline_path: str,
          f"(machine factor {factor:.2f}x)")
     failures = []
     for key, entry in current["results"].items():
-        if key.split("@")[0] not in GATED_VARIANTS:
-            continue
         reference = baseline["results"].get(key)
         if reference is None:
             echo(f"  {key}: no baseline entry, skipping")
@@ -1617,10 +1373,6 @@ def check_regressions(baseline_path: str, sizes, tolerance: float,
         current = run_scenario_benchmark(sizes, echo=echo)
         failures = compare_scenario_to_baseline(current, baseline_path,
                                                 tolerance, echo=echo)
-    elif suite == "recovery_latency":
-        current = run_recovery_benchmark(sizes, echo=echo)
-        failures = compare_recovery_to_baseline(current, baseline_path,
-                                                tolerance, echo=echo)
     elif suite == "audit_overhead":
         current = run_audit_benchmark(sizes, echo=echo)
         failures = compare_audit_to_baseline(current, baseline_path,
@@ -1634,7 +1386,7 @@ def check_regressions(baseline_path: str, sizes, tolerance: float,
         failures = compare_whatif_to_baseline(current, baseline_path,
                                               tolerance, echo=echo)
     else:
-        current = run_benchmark(sizes, variants=GATED_VARIANTS, echo=echo)
+        current = run_benchmark(sizes, echo=echo)
         failures = compare_to_baseline(current, baseline_path, tolerance,
                                        echo=echo)
     if failures:
@@ -1657,7 +1409,6 @@ _SUITES = {
     "warm_start": (WARM_BASELINE, [10000, 50000], [50000]),
     # scenario sizes are scale percent; the PR gate re-checks 50%.
     "scenario_latency": (SCENARIO_BASELINE, [50, 100], [50]),
-    "recovery_latency": (RECOVERY_BASELINE, [5000, 20000], [20000]),
     # the PR gate re-checks the digest tax at 10k; the committed
     # baseline demonstrates it at the 50k acceptance scale too.
     "audit_overhead": (AUDIT_BASELINE, [10000, 50000], [10000]),
@@ -1719,12 +1470,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"{_scenario_variants()} for the "
                              f"scenario_latency suite")
             entry = measure_scenario_variant(args.variant, args.size)
-        elif args.suite == "recovery_latency":
-            if args.variant not in RECOVERY_VARIANTS:
-                parser.error(f"--variant must be one of "
-                             f"{RECOVERY_VARIANTS} for the "
-                             f"recovery_latency suite")
-            entry = measure_recovery_variant(args.variant, args.size)
         elif args.suite == "audit_overhead":
             if args.variant not in AUDIT_VARIANTS:
                 parser.error(f"--variant must be one of {AUDIT_VARIANTS} "
@@ -1757,8 +1502,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             document = run_check_benchmark(sizes)
         elif args.suite == "scenario_latency":
             document = run_scenario_benchmark(sizes)
-        elif args.suite == "recovery_latency":
-            document = run_recovery_benchmark(sizes)
         elif args.suite == "audit_overhead":
             document = run_audit_benchmark(sizes)
         elif args.suite == "serve_throughput":

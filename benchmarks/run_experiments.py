@@ -193,7 +193,7 @@ def update_latency(report: ExperimentReport) -> None:
                      f"{entry['p50_us']:.1f}", f"{entry['p95_us']:.1f}",
                      f"{entry['p99_us']:.1f}", entry["atoms"],
                      f"{entry['peak_rss_kb'] / 1024:.0f}"))
-    report.section("Update latency — batched / sharded / parallel engines",
+    report.section("Update latency — batched / sharded engines",
                    "Full per-update pipeline (rule op + incremental loop "
                    f"check); {note}")
     report.table(("Engine@rules", "ops/s", "p50 us", "p95 us", "p99 us",

@@ -115,10 +115,6 @@ def _label_loops(label: Dict[Link, Set[int]]) -> List[Cycle]:
 class DeltaNetBackend(BackendAdapter):
     """Delta-net: incremental atoms + edge-labelled graph (the paper's verifier)."""
 
-    #: Queries are pure in-process traversals: safe for the
-    #: serving layer to run from concurrent reader threads.
-    concurrent_read_safe = True
-
     def __init__(self, width: int = 32, gc: bool = False) -> None:
         super().__init__(width=width)
         from repro.core.deltanet import DeltaNet
@@ -242,10 +238,6 @@ class DeltaNetBackend(BackendAdapter):
 class ShardedBackend(BackendAdapter):
     """Libra-style sharded Delta-net: disjoint header-space slices, fan-out queries."""
 
-    #: Queries are pure in-process traversals: safe for the
-    #: serving layer to run from concurrent reader threads.
-    concurrent_read_safe = True
-
     def __init__(self, width: int = 32, shards: int = 4, gc: bool = False,
                  check_loops: bool = True) -> None:
         super().__init__(width=width)
@@ -345,7 +337,9 @@ class ShardedBackend(BackendAdapter):
         }
 
     def restore_state(self, state) -> None:
-        if state.get("kind") != "sharded":
+        # "parallel": the process-per-shard backend's snapshots, whose
+        # native state has this backend's shape.
+        if state.get("kind") not in ("sharded", "parallel"):
             super().restore_state(state)
             return
         if self._rules:
@@ -364,190 +358,9 @@ class ShardedBackend(BackendAdapter):
         return out
 
 
-@register_backend("parallel")
-class ParallelShardedBackend(BackendAdapter):
-    """Process-parallel Libra sharding: one worker process per shard."""
-
-    def __init__(self, width: int = 32, shards: int = 4, gc: bool = False,
-                 check_loops: bool = True,
-                 start_method: Optional[str] = None,
-                 force_inline: bool = False,
-                 deadline: Optional[float] = 60.0,
-                 max_restarts: int = 3,
-                 restart_backoff: float = 0.05,
-                 reseed_every: int = 256,
-                 log=None) -> None:
-        super().__init__(width=width)
-        from repro.libra.parallel import ParallelShardedDeltaNet
-        from repro.libra.sharding import even_shards
-
-        self.native = ParallelShardedDeltaNet(
-            even_shards(shards, width), width=width, gc=gc,
-            start_method=start_method, force_inline=force_inline,
-            deadline=deadline, max_restarts=max_restarts,
-            restart_backoff=restart_backoff, reseed_every=reseed_every,
-            log=log)
-        self._check_loops = check_loops
-
-    def close(self) -> None:
-        self.native.close()
-
-    @staticmethod
-    def _canonical(cycles) -> List[Cycle]:
-        seen: Dict[Cycle, None] = {}
-        for cycle in cycles:
-            seen.setdefault(canonical_cycle(cycle))
-        return list(seen)
-
-    def _do_insert(self, rule: Rule) -> BackendUpdate:
-        # With checking off, report loops=None (not []): [] would read as
-        # "checked, clean" and suppress the session's sweep fallback.
-        loops = self.native.insert_rule(rule, check=self._check_loops)
-        return BackendUpdate(
-            rule.rid, True, rule,
-            loops=self._canonical(loops) if self._check_loops else None)
-
-    def _do_remove(self, rule: Rule) -> BackendUpdate:
-        loops = self.native.remove_rule(rule.rid, check=self._check_loops)
-        return BackendUpdate(
-            rule.rid, False, rule,
-            loops=self._canonical(loops) if self._check_loops else None)
-
-    def _do_apply_batch(self, inserts, removals, removal_rules) -> BackendBatch:
-        loops = self.native.apply_batch(inserts, removals,
-                                        check=self._check_loops)
-        updates = _batch_updates_with_loops(
-            inserts, removal_rules,
-            self._canonical(loops) if self._check_loops else None)
-        return BackendBatch(updates=updates)
-
-    def links(self) -> List[Link]:
-        return self.native.links()
-
-    def flows_on(self, link) -> Spans:
-        return self.native.flows_on(_as_link(link))
-
-    def reachable(self, src: object, dst: object) -> Spans:
-        return self.native.reachable(src, dst)
-
-    def find_loops(self) -> List[Cycle]:
-        return self._canonical(self.native.find_loops())
-
-    def find_blackholes(self) -> Dict[object, Spans]:
-        return self.native.find_blackholes()
-
-    def speculate(self) -> "ParallelShardedBackend":
-        """Fleet-wide fork: each worker holds a per-shard CoW child.
-
-        The child routes updates/queries through the parent's worker
-        pool under a speculation id; a worker restart loses that
-        worker's speculative state, surfacing as
-        :class:`~repro.core.speculative.StaleSpeculationError` on the
-        child's next touch.  ``close()`` on the child discards the
-        speculation — the shared pool stays up.
-        """
-        child = ParallelShardedBackend.__new__(ParallelShardedBackend)
-        BackendAdapter.__init__(child, width=self.width)
-        child.native = self.native.speculate()
-        child._check_loops = self._check_loops
-        child._rules = dict(self._rules)
-        return child
-
-    def check_invariants(self) -> None:
-        self.native.check_invariants()
-
-    def snapshot_state(self):
-        from repro.persist.columns import pack_rules
-
-        return {
-            "kind": "parallel",
-            "options": {"shards": self.native.num_shards,
-                        "check_loops": self._check_loops},
-            "native": self.native.state_dict(),
-            "rules": pack_rules(list(self._rules.values())),
-        }
-
-    def restore_state(self, state) -> None:
-        """Restore by fanning each shard's state out to its live worker.
-
-        The adapter's constructor already spawned the worker pool (or
-        its inline fallback); when the saved slice geometry matches, the
-        states are shipped straight into those workers — concurrently,
-        like any other fan-out.  A geometry mismatch rebuilds the pool.
-        """
-        if state.get("kind") != "parallel":
-            super().restore_state(state)
-            return
-        if self._rules:
-            raise ValueError("restore_state requires a fresh backend")
-        from repro.libra.parallel import ParallelShardedDeltaNet
-        from repro.persist.columns import unpack_rules
-
-        native_state = state["native"]
-        slices = [tuple(pair) for pair in native_state["slices"]]
-        if slices == list(self.native.slices):
-            self.native._restore_router(native_state)
-            # The supervised restore path also installs the states as
-            # the shards' recovery seeds.
-            self.native._seed_shards(list(native_state["nets"]))
-        else:
-            force_inline = not self.native.parallel
-            old = self.native
-            self.native = ParallelShardedDeltaNet.from_state(
-                native_state, force_inline=force_inline,
-                deadline=old.deadline, max_restarts=old.max_restarts,
-                restart_backoff=old.restart_backoff,
-                reseed_every=old.reseed_every, log=old._log)
-            old.close()
-        self._rules = {rule.rid: rule for rule in unpack_rules(state["rules"])}
-
-    def stats(self):
-        out = super().stats()
-        out.update(shards=self.native.num_shards,
-                   parallel=self.native.parallel,
-                   degraded=self.native.degraded,
-                   degraded_shards=list(self.native.degraded_shards),
-                   restarts=self.native.restarts,
-                   shard_sizes=self.native.shard_sizes())
-        return out
-
-    def health(self):
-        """Cheap liveness/degradation view — parent-side state only.
-
-        Unlike :meth:`stats` this never touches the worker pipes, so
-        the daemon's ``health`` verb can answer while an update holds
-        the session lock (or while a worker is wedged).
-        """
-        native = self.native
-        workers_alive = sum(
-            1 for endpoint in native._workers
-            if getattr(endpoint, "process", None) is not None
-            and endpoint.process.is_alive())
-        return {
-            "parallel": native.parallel,
-            "degraded": native.degraded,
-            "degraded_shards": list(native.degraded_shards),
-            "restarts": native.restarts,
-            "workers_alive": workers_alive,
-            "shards": native.num_shards,
-            "events": len(native.events),
-            "audits": native.audits,
-            "audit_mismatches": native.audit_mismatches,
-            "audit_repairs": native.audit_repairs,
-            "audit_escalations": native.audit_escalations,
-        }
-
-    def state_digest(self):
-        return self.native.state_digest()
-
-
 @register_backend("veriflow")
 class VeriflowBackend(BackendAdapter):
     """Veriflow-RI: per-update equivalence classes and forwarding graphs."""
-
-    #: Queries are pure in-process traversals: safe for the
-    #: serving layer to run from concurrent reader threads.
-    concurrent_read_safe = True
 
     def __init__(self, width: int = 32, check_loops: bool = True) -> None:
         super().__init__(width=width)
@@ -659,10 +472,6 @@ class VeriflowBackend(BackendAdapter):
 class APVBackend(BackendAdapter):
     """Atomic-predicates verifier: full partition recompute on every update."""
 
-    #: Queries are pure in-process traversals: safe for the
-    #: serving layer to run from concurrent reader threads.
-    concurrent_read_safe = True
-
     def __init__(self, width: int = 32) -> None:
         super().__init__(width=width)
         from repro.apv.verifier import APVerifier
@@ -699,10 +508,6 @@ class APVBackend(BackendAdapter):
 @register_backend("netplumber")
 class NetPlumberBackend(BackendAdapter):
     """NetPlumber: rules-as-nodes plumbing graph with overlap pipes."""
-
-    #: Queries are pure in-process traversals: safe for the
-    #: serving layer to run from concurrent reader threads.
-    concurrent_read_safe = True
 
     def __init__(self, width: int = 32) -> None:
         super().__init__(width=width)

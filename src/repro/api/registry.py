@@ -106,13 +106,6 @@ class BackendAdapter(abc.ABC):
     #: Registry name, set by :func:`register_backend`.
     name: str = "?"
 
-    #: Whether query methods (``find_loops``, ``reachable``, ...) are
-    #: pure in-process reads that many threads may run concurrently.
-    #: Backends whose queries fan out over worker pipes (the parallel
-    #: backend) must leave this False; the serving layer then keeps
-    #: reads exclusive instead of sharing the read lock.
-    concurrent_read_safe: bool = False
-
     def __init__(self, width: int = 32) -> None:
         """Initialize the uniform rule table.
 
@@ -426,9 +419,10 @@ class BackendAdapter(abc.ABC):
     # -- diagnostics -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources (worker processes, ...); idempotent.
+        """Release backend resources; idempotent.
 
-        A no-op for in-process backends."""
+        A no-op for every built-in backend; the hook for registered
+        backends that hold files, sockets or processes."""
 
     def check_invariants(self) -> None:
         """Backend-internal consistency assertions (tests/debugging)."""

@@ -26,7 +26,7 @@ the per-op deltas are merged (adds cancelling removes) and the
 incremental property checks run once on the aggregate;
 :meth:`VerificationSession.apply_batch` additionally reaches the
 backends' native batched engines (``DeltaNet.apply_batch`` and the
-sharded/parallel equivalents).  Batches are
+sharded equivalent).  Batches are
 *transactional* in the checking sense — one result, one set of
 violations — not rollback-on-error; a failing operation propagates
 immediately, earlier operations of the batch stay applied, and
@@ -222,7 +222,7 @@ class VerificationSession:
         return self.backend.state_digest()
 
     def close(self) -> None:
-        """Release backend resources (e.g. parallel shard workers)."""
+        """Release backend resources (:meth:`BackendAdapter.close`)."""
         close = getattr(self.backend, "close", None)
         if close is not None:
             close()

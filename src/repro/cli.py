@@ -18,7 +18,7 @@ Examples::
     deltanet scenario list
     deltanet scenario run link-flaps --seed 7 --backend sharded
     deltanet fuzz --budget 200
-    deltanet fuzz --budget 50 --chaos --backends deltanet,sharded,parallel
+    deltanet fuzz --budget 50 --chaos --backends deltanet,sharded
     deltanet fuzz --replay artifacts/repro-link-flaps-seed99.repro
 """
 

@@ -2,23 +2,22 @@
 
 :mod:`repro.faults.injector` is the mechanism: named fault points wired
 into production code (`fire()` is a no-op until an injector is
-installed), armed faults that crash / delay / drop at the n-th hit, and
-the :class:`InjectedCrash` signal that simulates process death.
+installed), armed faults that crash at the n-th hit, and the
+:class:`InjectedCrash` signal that simulates process death.
 
 :mod:`repro.faults.chaos` is the policy: seed-derived
 :class:`ChaosPlan`\\ s of fault events and a replay harness that drives a
-checkpointed session through a scenario while killing workers, tearing
+checkpointed session through a scenario while crashing it, tearing
 journal tails and crashing checkpoints — then proves the delivered
 violation stream still matches the sweep oracle byte-for-byte.
 
 :mod:`repro.faults.corruption` damages *state itself*: snapshot byte
-flips, journal payload mutations, silently desynced shards — and proves
+flips, journal payload mutations, silently desynced labels — and proves
 the stack fails loudly or answers correctly, never silently wrong.
 """
 
 from repro.faults.injector import (
-    DropMessage, Fault, FaultInjector, InjectedCrash, crash, delay, drop,
-    fire, installed, kill_endpoint,
+    Fault, FaultInjector, InjectedCrash, crash, fire, installed,
 )
 from repro.faults.chaos import (
     CHAOS_KINDS, ChaosPlan, FaultEvent, chaos_replay,
@@ -33,16 +32,12 @@ __all__ = [
     "ChaosPlan",
     "corruption_plan",
     "corruption_replay",
-    "DropMessage",
     "Fault",
     "FaultEvent",
     "FaultInjector",
     "InjectedCrash",
     "chaos_replay",
     "crash",
-    "delay",
-    "drop",
     "fire",
     "installed",
-    "kill_endpoint",
 ]

@@ -1,8 +1,8 @@
 """Seed-driven chaos plans and the crash-replay harness.
 
 A :class:`ChaosPlan` is a deterministic schedule of fault events over a
-scenario's op trace: *before op 17, SIGKILL shard 2's worker; before op
-40, crash inside the checkpoint rename window and recover*.  Plans are
+scenario's op trace: *before op 17, kill the daemon and recover; before
+op 40, crash inside the checkpoint rename window and recover*.  Plans are
 derived from a seed, so a failing campaign is reproduced by its
 ``(scenario seed, chaos seed)`` pair alone.
 
@@ -16,17 +16,11 @@ machinery diffs against the sweep oracle.  The invariant under test:
 **faults may cost time, never correctness** — the delivered stream must
 match the oracle byte-for-byte, re-deliveries included.
 
-Two fault groups:
-
-* *process faults* (``kill-worker``, ``kill-worker-midflight``,
-  ``blackhole-pipe``, ``delay-pipe``) exercise the parallel backend's
-  shard-worker supervisor; on backends without worker processes they
-  are recorded as skipped, keeping plans portable.
-* *durability faults* (``crash-recover``, ``torn-tail``,
-  ``checkpoint-crash``) kill the whole "daemon" — the session is
-  abandoned mid-trace exactly as a ``kill -9`` would leave it, the
-  journal tail is optionally torn, and the run continues from whatever
-  ``SessionStore.recover`` reconstructs, re-applying the lost ops.
+The faults are durability faults (``crash-recover``, ``torn-tail``,
+``checkpoint-crash``): each kills the whole "daemon" — the session is
+abandoned mid-trace exactly as a ``kill -9`` would leave it, the
+journal tail is optionally torn, and the run continues from whatever
+``SessionStore.recover`` reconstructs, re-applying the lost ops.
 
 Re-applied ops *overwrite* their slots in the delivered stream: if
 recovery rebuilds dedup state exactly, the re-deliveries equal the
@@ -43,16 +37,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.injector import (
-    Fault, FaultInjector, InjectedCrash, crash, delay, drop, installed,
-    kill_endpoint,
+    Fault, FaultInjector, InjectedCrash, crash, installed,
 )
 
 #: Every plannable fault kind, in the order plans sample them.
 CHAOS_KINDS = (
-    "kill-worker",            # SIGKILL an idle shard worker between ops
-    "kill-worker-midflight",  # SIGKILL a worker right after a submit
-    "blackhole-pipe",         # drop the next pipe message silently
-    "delay-pipe",             # stall the next pipe message briefly
     "crash-recover",          # kill the daemon; recover from disk
     "torn-tail",              # tear the journal tail, then crash+recover
     "checkpoint-crash",       # die inside checkpoint's tmp+rename window
@@ -159,7 +148,6 @@ def chaos_replay(scenario, backend: str, plan: ChaosPlan, store_dir: str,
     injected: List[str] = []
     skipped: List[str] = []
     recoveries = 0
-    armed: List[tuple] = []  # (event, fault) for end-of-run accounting
 
     # Events keyed by the op index they precede; an event scheduled past
     # the end of the trace fires before the final op instead of never.
@@ -197,7 +185,6 @@ def chaos_replay(scenario, backend: str, plan: ChaosPlan, store_dir: str,
         return info
 
     def inject(event: FaultEvent) -> None:
-        nonlocal store
         kind = event.kind
         if kind == "crash-recover":
             simulate_crash()
@@ -217,31 +204,6 @@ def chaos_replay(scenario, backend: str, plan: ChaosPlan, store_dir: str,
                 recover(event.describe())
             else:
                 skipped.append(event.describe() + " [window not hit]")
-        elif kind in ("kill-worker", "kill-worker-midflight",
-                      "blackhole-pipe", "delay-pipe"):
-            native = session.native
-            workers = getattr(native, "_workers", None)
-            if not workers or not getattr(native, "parallel", False):
-                skipped.append(event.describe() + " [no worker processes]")
-                return
-            if kind == "kill-worker":
-                endpoint = workers[event.shard % len(workers)]
-                process = getattr(endpoint, "process", None)
-                if process is not None and process.is_alive():
-                    process.kill()
-                    process.join(timeout=5)
-                    injected.append(event.describe())
-                else:
-                    skipped.append(event.describe() + " [worker not alive]")
-            elif kind == "kill-worker-midflight":
-                armed.append((event, injector.arm(
-                    Fault("parallel.pipe.sent", kill_endpoint))))
-            elif kind == "blackhole-pipe":
-                armed.append((event, injector.arm(
-                    Fault("parallel.pipe.send", drop))))
-            else:  # delay-pipe: a latency blip, not a failure
-                armed.append((event, injector.arm(
-                    Fault("parallel.pipe.send", delay(0.05)))))
         else:
             skipped.append(event.describe() + " [unknown kind]")
 
@@ -287,11 +249,6 @@ def chaos_replay(scenario, backend: str, plan: ChaosPlan, store_dir: str,
             except Exception:
                 pass
         store.close()
-    for event, fault in armed:
-        if fault.triggered:
-            injected.append(event.describe())
-        else:
-            skipped.append(event.describe() + " [never triggered]")
     run.seconds = time.perf_counter() - start
     run.chaos = {
         "plan": plan.to_state(),

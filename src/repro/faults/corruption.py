@@ -2,8 +2,8 @@
 
 Where :mod:`repro.faults.chaos` kills processes at unfortunate moments,
 this module damages *state itself*: a flipped byte inside a snapshot, a
-mutated journal payload, a shard whose in-memory table silently drifts
-from what its supervisor believes.  The invariant under test is
+mutated journal payload, an in-memory label that silently drifts from
+its maintained digest.  The invariant under test is
 stricter than chaos's "recovery preserves the stream":
 
     **loud failure or correct answers — never silently wrong.**
@@ -28,11 +28,13 @@ Fault kinds (sampled by :class:`~repro.faults.chaos.ChaosPlan` with
   recover.  Recovery must either truncate to the valid prefix (the
   harness re-applies the lost tail) or refuse loudly — never replay a
   damaged op as something else.
-* ``desync_shard`` — on the parallel backend, toggle one atom's
-  membership inside a shard worker's table *without* updating its
-  digest: simulated memory corruption.  A full scrub pass
-  (:class:`repro.integrity.Scrubber`) must detect the mismatch within
-  one cycle and repair the shard by re-seed; on other backends the
+* ``desync_label`` — toggle one atom's membership in one label of an
+  in-process :class:`~repro.core.deltanet.DeltaNet` (``deltanet``, or
+  one ``sharded`` shard) *without* updating its digest: simulated
+  memory corruption.  A full scrub pass
+  (:class:`repro.integrity.Scrubber`) must report the state unclean;
+  the harness then rebuilds from rule zero, the same loud path a
+  refused recovery takes.  On backends without Delta-net labels the
   event is recorded as skipped, keeping plans portable.
 """
 
@@ -49,7 +51,7 @@ from repro.faults.chaos import ChaosPlan, FaultEvent
 CORRUPTION_KINDS = (
     "flip_snapshot_byte",   # XOR one bit of the snapshot file
     "flip_journal_payload", # XOR one bit of a journal op record
-    "desync_shard",         # silently diverge one shard's table
+    "desync_label",         # silently diverge one label from its digest
 )
 
 
@@ -72,6 +74,24 @@ def flip_byte(path: str, rng: random.Random,
         stream.seek(offset)
         stream.write(bytes([byte ^ (1 << rng.randrange(8))]))
     return offset
+
+
+def desync_label(net) -> bool:
+    """Corrupt one label entry of ``net`` *bypassing* digest maintenance
+    — the stand-in for a buggy delta path or in-memory bit rot.
+    Toggles atom 0's membership directly on an ``AtomRuns`` bucket, so
+    the net answers queries silently wrong until scrubbed.  Returns
+    whether any entry could be corrupted (a net without labels cannot
+    desynchronize)."""
+    for runs in net.findex.by_link.values():
+        if 0 not in runs:
+            runs.add(0)
+            return True
+    for runs in net.findex.by_link.values():
+        if len(runs) > 1 and 0 in runs:
+            runs.discard(0)
+            return True
+    return False
 
 
 def journal_header_end(path: str) -> int:
@@ -126,7 +146,7 @@ def corruption_replay(scenario, backend: str, plan: ChaosPlan,
     skipped: List[str] = []
     recoveries = 0
     rebuilds = 0
-    repairs = 0
+    detections = 0
 
     last = max(0, len(ops) - 1)
     schedule = {}
@@ -189,7 +209,7 @@ def corruption_replay(scenario, backend: str, plan: ChaosPlan,
                         f"({target} ops re-applied)")
 
     def inject(event: FaultEvent) -> None:
-        nonlocal repairs
+        nonlocal detections
         kind = event.kind
         if kind in ("flip_snapshot_byte", "flip_journal_payload"):
             target = session.sequence
@@ -225,32 +245,39 @@ def corruption_replay(scenario, backend: str, plan: ChaosPlan,
                 injected.append(f"{event.describe()} @byte {offset}: "
                                 f"LOUD {type(exc).__name__}: {exc}")
                 rebuild(event.describe(), target)
-        elif kind == "desync_shard":
-            native = getattr(session, "native", None)
-            if not hasattr(native, "desync_shard"):
-                skipped.append(event.describe() + " [no shard audit]")
+        elif kind == "desync_label":
+            native = session.native
+            nets = getattr(native, "nets", None) or (
+                [native] if hasattr(native, "findex") else [])
+            if not nets:
+                skipped.append(event.describe() + " [no Delta-net labels]")
                 return
             if session.state_digest() is None:
                 skipped.append(event.describe() + " [digests disabled]")
                 return
-            shard = event.shard % native.num_shards
-            if not native.desync_shard(shard):
-                skipped.append(event.describe() + " [shard empty]")
+            # The event's shard first, then the next one holding labels.
+            order = [(event.shard + k) % len(nets) for k in range(len(nets))]
+            shard = next((i for i in order if desync_label(nets[i])), None)
+            if shard is None:
+                skipped.append(event.describe() + " [no labels]")
                 return
-            # One full scrub cycle must detect the drift and repair it
-            # by re-seed; a clean report here *without* a repair means
-            # the corruption went undetected — fail loudly now rather
-            # than let the oracle diff catch it later.
+            # One full scrub pass must detect the drift; a clean report
+            # means the corruption went undetected — fail loudly now
+            # rather than let the oracle diff catch it later.
             from repro.integrity import Scrubber
 
             report = Scrubber(session).run_full()
-            if shard not in report.get("repaired", ()):
+            if report.ok:
                 raise AssertionError(
-                    f"desync of shard {shard} was not detected+repaired "
-                    f"by a full scrub pass: {dict(report)}")
-            repairs += 1
-            injected.append(f"{event.describe()}: scrub detected and "
-                            f"repaired shard {shard}")
+                    f"desync of net {shard} was not detected by a full "
+                    f"scrub pass: {dict(report)}")
+            detections += 1
+            injected.append(f"{event.describe()}: scrub detected "
+                            f"{len(report['mismatches'])} mismatch(es)")
+            # The state is untrusted: take the loud path.
+            target = session.sequence
+            simulate_crash()
+            rebuild(event.describe(), target)
         else:
             skipped.append(event.describe() + " [unknown kind]")
 
@@ -295,6 +322,6 @@ def corruption_replay(scenario, backend: str, plan: ChaosPlan,
         "skipped": skipped,
         "recoveries": recoveries,
         "rebuilds": rebuilds,
-        "repairs": repairs,
+        "detections": detections,
     }
     return run

@@ -1,32 +1,17 @@
 """Named fault points and the injector that arms them.
 
 Production code declares *fault points* by calling :func:`fire` at the
-spots where real systems fail — just before a pipe send, inside the
-checkpoint tmp+rename window, around a journal append.  With no
+spots where real systems fail — inside the checkpoint's tmp+rename
+window.  With no
 injector installed (the normal case, including all production use)
 ``fire`` is a single global read and returns immediately.
 
 A test or chaos campaign installs a :class:`FaultInjector` armed with
-:class:`Fault` descriptions: *at the n-th hit of point P (optionally
-restricted to shard S), run this action*.  Stock actions cover the
-failure menagerie:
-
-``crash``
-    raise :class:`InjectedCrash` — simulated process death.  It derives
-    from ``BaseException`` so ordinary ``except Exception`` recovery
-    code cannot swallow it, exactly as no handler survives a real
-    ``kill -9``.
-``delay(seconds)``
-    sleep before letting the operation proceed (slow worker / slow
-    disk); with a per-request deadline armed this manufactures a hung
-    worker.
-``drop``
-    raise :class:`DropMessage`, which pipe-send fault points interpret
-    as "the message vanished" — the send is skipped, the caller sees
-    success, and the reply never comes (a blackholed pipe).
-``kill_endpoint``
-    hard-kill the worker process behind the endpoint in the fire
-    context — a genuine ``SIGKILL`` mid-protocol.
+:class:`Fault` descriptions: *at the n-th hit of point P, run this
+action*.  The stock action is :func:`crash`: raise
+:class:`InjectedCrash` — simulated process death.  It derives from
+``BaseException`` so ordinary ``except Exception`` recovery code cannot
+swallow it, exactly as no handler survives a real ``kill -9``.
 
 Every trigger is recorded on ``injector.fired`` so tests can assert a
 fault actually happened (a chaos campaign that silently never injects
@@ -39,7 +24,6 @@ the hot path.  Do not install an injector from concurrent tests.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -53,45 +37,9 @@ class InjectedCrash(BaseException):
     """
 
 
-class DropMessage(Exception):
-    """Raised by a pipe-send fault point to blackhole the message.
-
-    The sender catches this, skips the send, and reports success —
-    the receiver simply never hears anything.
-    """
-
-
 def crash(context: dict) -> None:
     """Stock action: die here (see :class:`InjectedCrash`)."""
     raise InjectedCrash(f"injected crash at {context.get('point')!r}")
-
-
-def drop(context: dict) -> None:
-    """Stock action: blackhole this pipe message."""
-    raise DropMessage(f"injected blackhole at {context.get('point')!r}")
-
-
-def delay(seconds: float) -> Callable[[dict], None]:
-    """Stock action factory: stall the operation for ``seconds``."""
-
-    def action(context: dict) -> None:
-        time.sleep(seconds)
-
-    return action
-
-
-def kill_endpoint(context: dict) -> None:
-    """Stock action: SIGKILL the worker process behind this fault point.
-
-    Only meaningful at fault points that pass ``endpoint=`` in their
-    context (the parallel backend's pipe points); elsewhere it is a
-    no-op, so plans stay portable across backends.
-    """
-    endpoint = context.get("endpoint")
-    process = getattr(endpoint, "process", None)
-    if process is not None and process.is_alive():
-        process.kill()
-        process.join(timeout=5)
 
 
 @dataclass
@@ -102,19 +50,10 @@ class Fault:
     action: Callable[[dict], None]
     #: trigger on the ``at``-th matching hit (1-based)
     at: int = 1
-    #: when set, only hits whose context carries this shard index match
-    shard: Optional[int] = None
     #: disarm after the first trigger (set False for every-hit faults)
     once: bool = True
     hits: int = field(default=0, init=False)
     triggered: int = field(default=0, init=False)
-
-    def matches(self, point: str, context: dict) -> bool:
-        if point != self.point:
-            return False
-        if self.shard is not None and context.get("shard") != self.shard:
-            return False
-        return True
 
 
 class FaultInjector:
@@ -132,7 +71,7 @@ class FaultInjector:
     def fire(self, point: str, **context) -> None:
         context["point"] = point
         for fault in self.faults:
-            if not fault.matches(point, context):
+            if fault.point != point:
                 continue
             fault.hits += 1
             live = (fault.hits == fault.at if fault.once

@@ -1,4 +1,4 @@
-"""State-integrity layer: online digests, scrubbing, and repair.
+"""State-integrity layer: online digests and scrubbing.
 
 Delta-net's verdicts are only as trustworthy as its incremental
 ``AtomTable``/``ForwardingIndex`` state — a silently diverged mirror
@@ -10,9 +10,9 @@ package makes state trustworthiness continuously checkable:
   surfaced as ``VerificationSession.state_digest()`` on every backend and
   embedded in snapshots and journal checkpoint headers.
 * :mod:`repro.integrity.scrub` — a budgeted, resumable scrubber that
-  re-verifies live digests against from-scratch recomputation, and on
-  the parallel backend audits each worker shard, quarantining and
-  re-seeding shards whose digests diverge.
+  re-verifies live digests against from-scratch recomputation.  A
+  mismatch is reported, not repaired: a diverged state is rebuilt from
+  its journal and snapshot, or from rule zero.
 """
 
 from repro.integrity.digest import (

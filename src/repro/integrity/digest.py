@@ -16,8 +16,8 @@ layer leans on:
   twin agree by construction, so ``load_session`` can cross-check.
 * **Shard composability.**  The digest of a sharded state is the
   componentwise combination (xor of xors, sum of sums) of the per-shard
-  digests, so the parallel supervisor can audit workers independently
-  and still compare a fleet-wide value against a snapshot trailer.
+  digests, so each shard is scrubbed on its own and the combined value
+  still compares against a snapshot trailer.
 
 Entry hashes use the splitmix64 finalizer — a few arithmetic ops per
 entry, far cheaper than a per-call ``blake2b`` and of ample quality for
@@ -27,8 +27,8 @@ the ``PYTHONHASHSEED``-randomized builtin ``hash``), but only once per
 distinct link, cached.
 
 Digests render as strings — ``scheme:count.xor.sum[:count.xor.sum...]``
-in hex — so they travel through JSON health reports, snapshot sections
-and worker pipes unchanged.
+in hex — so they travel through JSON health reports and snapshot
+sections unchanged.
 
 Set ``DELTANET_DIGESTS=0`` to disable maintenance (the perf gate's
 digest-free baseline); disabled structures carry ``digest = None`` and
@@ -88,7 +88,7 @@ def link_salt(link) -> int:
     """A process-stable salt for a link's entries.
 
     Derived from the canonical codec encoding of ``(source, target)`` so
-    every process — worker, supervisor, restore path — agrees.  Falls
+    every process — the writer and any later restore — agrees.  Falls
     back to ``repr`` for node types the codec cannot encode (such links
     cannot be snapshotted either, so cross-process stability is moot).
     """

@@ -11,16 +11,15 @@ than comparing a digest of mixed-epoch state.
 
 Backend dispatch is structural:
 
-* **parallel** (``native.audit_shard``): each step audits one worker
-  shard — the worker recomputes its digest from scratch and the
-  supervisor compares it with the worker's incrementally maintained
-  (reported) digest; a mismatch quarantines the shard and triggers
-  re-seed repair (see ``ParallelShardedDeltaNet.audit_shard``).
 * **native nets** (``DeltaNet`` or ``ShardedDeltaNet``): entries are
   hashed in-process against each net's live accumulators.
 * **generic** (rule-set digests): a single-step pass recomputing the
   rule digest twice — a stability check only, since the generic digest
   is already derived on demand.
+
+A scrub detects; it does not repair.  Reports and counters keep the
+``repaired``/``escalated`` lists and ``repairs``/``escalations`` counts
+of the wire protocol, always empty and zero.
 """
 
 from __future__ import annotations
@@ -45,19 +44,17 @@ def _fresh_counters() -> Dict[str, int]:
         "entries": 0,       # entries re-hashed across all steps
         "restarts": 0,      # passes abandoned because state mutated
         "mismatches": 0,    # digest divergences detected
-        "repairs": 0,       # shards repaired via re-seed
-        "escalations": 0,   # shards degraded after failed repair
+        "repairs": 0,       # wire-protocol field: always 0
+        "escalations": 0,   # wire-protocol field: always 0
     }
 
 
 class Scrubber:
     """Drives scrub passes over one :class:`VerificationSession`."""
 
-    def __init__(self, session, entries_per_step: int = 4096,
-                 repair: bool = True) -> None:
+    def __init__(self, session, entries_per_step: int = 4096) -> None:
         self.session = session
         self.entries_per_step = max(1, int(entries_per_step))
-        self.repair = repair
         self.counters = _fresh_counters()
         self.last_report: Optional[ScrubReport] = None
         self._cursor: Optional[dict] = None
@@ -68,18 +65,10 @@ class Scrubber:
         native = getattr(self.session.backend, "native", None)
         if native is None:
             return None
-        if hasattr(native, "audit_shard"):
-            return None  # parallel: audited shard-by-shard instead
         if hasattr(native, "nets"):
             return list(native.nets)
         if hasattr(native, "recompute_state_digest"):
             return [native]
-        return None
-
-    def _parallel_native(self):
-        native = getattr(self.session.backend, "native", None)
-        if native is not None and hasattr(native, "audit_shard"):
-            return native
         return None
 
     # -- the stepping engine ---------------------------------------------------
@@ -97,8 +86,6 @@ class Scrubber:
             self.counters["restarts"] += 1
         if cursor is None:
             cursor = self._cursor = self._start_pass()
-        if cursor["mode"] == "parallel":
-            return self._step_parallel(cursor)
         if cursor["mode"] == "nets":
             return self._step_nets(cursor)
         return self._step_generic(cursor)
@@ -113,11 +100,6 @@ class Scrubber:
 
     def _start_pass(self) -> dict:
         seq = self.session.sequence
-        native = self._parallel_native()
-        if native is not None:
-            return {"mode": "parallel", "seq": seq,
-                    "shards": list(range(native.num_shards)), "next": 0,
-                    "results": []}
         nets = self._nets()
         if nets is not None:
             return {
@@ -127,41 +109,6 @@ class Scrubber:
                 "entries": 0, "mismatches": [],
             }
         return {"mode": "generic", "seq": seq}
-
-    # -- parallel: one shard audit per step ------------------------------------
-
-    def _step_parallel(self, cursor: dict) -> dict:
-        native = self._parallel_native()
-        index = cursor["shards"][cursor["next"]]
-        result = native.audit_shard(index, repair=self.repair)
-        cursor["results"].append(result)
-        self.counters["entries"] += result.get("entries", 0)
-        if not result.get("clean", False):
-            self.counters["mismatches"] += 1
-        if result.get("repaired"):
-            self.counters["repairs"] += 1
-        if result.get("escalated"):
-            self.counters["escalations"] += 1
-        cursor["next"] += 1
-        if cursor["next"] < len(cursor["shards"]):
-            return {"pass_complete": False, "shard": index,
-                    "clean": result.get("clean", False)}
-        results = cursor["results"]
-        report = ScrubReport(
-            pass_complete=True, mode="parallel", sequence=cursor["seq"],
-            shards=len(results),
-            entries=sum(r.get("entries", 0) for r in results),
-            mismatches=[r for r in results if not r.get("clean", False)],
-            repaired=[r["shard"] for r in results if r.get("repaired")],
-            escalated=[r["shard"] for r in results if r.get("escalated")],
-        )
-        # A repaired shard ends the pass clean: its post-repair digest
-        # was re-verified; only unrepaired or escalated mismatches
-        # leave the state untrusted.
-        report["clean"] = all(
-            r.get("clean") or (r.get("repaired") and not r.get("escalated"))
-            for r in results)
-        return self._finish_pass(report)
 
     # -- in-process nets: budgeted entry iteration ------------------------------
 

@@ -6,12 +6,13 @@ future work."  This package does exactly that: it partitions the
 destination space into disjoint shards (Libra's "subnets"), routes every
 rule to the shards its prefix intersects, and runs one independent
 :class:`~repro.core.deltanet.DeltaNet` per shard.  Shards never share
-state, so they are embarrassingly parallel — the map step of Libra's
-MapReduce formulation — while each shard keeps Delta-net's incremental
-guarantees.
+state — the map step of Libra's MapReduce formulation — while each
+shard keeps Delta-net's incremental guarantees.  The shards run in one
+process: the package models Libra's partition (and gives the
+differential fuzzer a second Delta-net backend to compare), not its
+distribution.
 """
 
-from repro.libra.parallel import ParallelShardedDeltaNet
 from repro.libra.sharding import ShardedDeltaNet, even_shards
 
-__all__ = ["ParallelShardedDeltaNet", "ShardedDeltaNet", "even_shards"]
+__all__ = ["ShardedDeltaNet", "even_shards"]

@@ -60,18 +60,16 @@ def clip_rule(rule: Rule, rid: int, lo: int, hi: int) -> Rule:
                         rule.source, rule.target)
 
 
-class ShardRouter:
-    """The map step's shared machinery: slice geometry, rule clipping,
-    and the ``rid -> (shard, clipped rid)`` placement bookkeeping.
+class ShardedDeltaNet:
+    """Independent Delta-net instances over disjoint header-space slices.
 
-    Base class of both the serial :class:`ShardedDeltaNet` and the
-    process-parallel :class:`~repro.libra.parallel.
-    ParallelShardedDeltaNet`, so routing/validation semantics cannot
-    diverge between the two.
+    The map step is :meth:`route_batch` (slice geometry, rule clipping
+    and the ``rid -> (shard, clipped rid)`` placement bookkeeping); each
+    shard then applies its sub-batch to its own :class:`DeltaNet`.
     """
 
-    def __init__(self, shards: Optional[Iterable[Tuple[int, int]]],
-                 width: int) -> None:
+    def __init__(self, shards: Optional[Iterable[Tuple[int, int]]] = None,
+                 width: int = 32, gc: bool = False) -> None:
         self.width = width
         self.slices: List[Tuple[int, int]] = (
             list(shards) if shards is not None else even_shards(4, width))
@@ -80,6 +78,13 @@ class ShardRouter:
         #: rid -> list of (shard index, clipped rid)
         self._placement: Dict[int, List[Tuple[int, int]]] = {}
         self._next_clipped = 0
+        self.nets: List[DeltaNet] = [DeltaNet(width=width, gc=gc)
+                                     for _ in self.slices]
+        #: One incremental loop checker per shard, bound to that shard's
+        #: persistent forwarding index — checks stay local to the shards
+        #: an update touched and never rebuild any per-check structure.
+        self.checkers: List[LoopChecker] = [LoopChecker(net)
+                                            for net in self.nets]
 
     @property
     def num_shards(self) -> int:
@@ -108,8 +113,7 @@ class ShardRouter:
         Returns one ``(clipped inserts, clipped removal rids)`` pair per
         shard, committing the placement bookkeeping.  The whole batch is
         validated before any state changes, so a rejected batch leaves
-        no trace.  Callers then apply each shard's sub-batch —
-        sequentially here, concurrently in the parallel subclass.
+        no trace.  Callers then apply each shard's sub-batch.
         """
         inserts = list(rules_to_insert)
         removals = list(rids_to_remove)
@@ -130,40 +134,6 @@ class ShardRouter:
                 placement.append((index, clipped_rid))
             self._placement[rule.rid] = placement
         return per_shard
-
-    # -- persistence (see repro.persist) ----------------------------------------
-
-    def router_state(self) -> dict:
-        """The map step's bookkeeping as deterministic plain data."""
-        return {
-            "width": self.width,
-            "slices": [list(pair) for pair in self.slices],
-            "next_clipped": self._next_clipped,
-            "placement": [(rid, [list(pair) for pair in placement])
-                          for rid, placement in
-                          sorted(self._placement.items())],
-        }
-
-    def _restore_router(self, state: dict) -> None:
-        self._next_clipped = state["next_clipped"]
-        self._placement = {
-            rid: [tuple(pair) for pair in placement]
-            for rid, placement in state["placement"]}
-
-
-class ShardedDeltaNet(ShardRouter):
-    """Independent Delta-net instances over disjoint header-space slices."""
-
-    def __init__(self, shards: Iterable[Tuple[int, int]] = None,
-                 width: int = 32, gc: bool = False) -> None:
-        super().__init__(shards, width)
-        self.nets: List[DeltaNet] = [DeltaNet(width=width, gc=gc)
-                                     for _ in self.slices]
-        #: One incremental loop checker per shard, bound to that shard's
-        #: persistent forwarding index — checks stay local to the shards
-        #: an update touched and never rebuild any per-check structure.
-        self.checkers: List[LoopChecker] = [LoopChecker(net)
-                                            for net in self.nets]
 
     @property
     def total_atoms(self) -> int:
@@ -261,10 +231,17 @@ class ShardedDeltaNet(ShardRouter):
     # -- persistence (see repro.persist) ----------------------------------------
 
     def state_dict(self) -> dict:
-        """Router bookkeeping plus one Delta-net state per shard."""
-        state = self.router_state()
-        state["nets"] = [net.state_dict() for net in self.nets]
-        return state
+        """Router bookkeeping plus one Delta-net state per shard, as
+        deterministic plain data."""
+        return {
+            "width": self.width,
+            "slices": [list(pair) for pair in self.slices],
+            "next_clipped": self._next_clipped,
+            "placement": [(rid, [list(pair) for pair in placement])
+                          for rid, placement in
+                          sorted(self._placement.items())],
+            "nets": [net.state_dict() for net in self.nets],
+        }
 
     @classmethod
     def from_state(cls, state: dict) -> "ShardedDeltaNet":
@@ -272,7 +249,10 @@ class ShardedDeltaNet(ShardRouter):
         slices = [tuple(pair) for pair in state["slices"]]
         gc = bool(state["nets"]) and state["nets"][0]["gc"]
         sharded = cls(slices, width=state["width"], gc=gc)
-        sharded._restore_router(state)
+        sharded._next_clipped = state["next_clipped"]
+        sharded._placement = {
+            rid: [tuple(pair) for pair in placement]
+            for rid, placement in state["placement"]}
         sharded.nets = [DeltaNet.from_state(net_state)
                         for net_state in state["nets"]]
         sharded.checkers = [LoopChecker(net) for net in sharded.nets]

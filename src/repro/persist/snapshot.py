@@ -258,9 +258,11 @@ def load_session(source: Union[Pathish, BinaryIO], *,
     watch order) for snapshots whose properties cannot be rebuilt from
     specs (custom classes); built-in properties are reconstructed
     automatically.  ``backend_overrides`` adjust the backend's saved
-    constructor options (e.g. ``force_inline=True`` to restore a
-    parallel snapshot without spawning workers).  With ``verify=True``
-    the restored backend's invariants are checked before returning.
+    constructor options.  With ``verify=True`` the restored backend's
+    invariants are checked before returning.
+
+    Snapshots of the former process-per-shard ``parallel`` backend
+    restore as ``sharded``: their backend state has the same shape.
     """
     from repro.api.properties import Violation, property_from_spec
     from repro.api.session import VerificationSession
@@ -274,7 +276,9 @@ def load_session(source: Union[Pathish, BinaryIO], *,
         raise SnapshotError(f"snapshot is missing section {exc}") from exc
     options = dict(meta.get("options", {}))
     options.update(backend_overrides)
-    backend = create_backend(meta["backend"], width=meta["width"], **options)
+    name = meta["backend"]
+    backend = create_backend("sharded" if name == "parallel" else name,
+                             width=meta["width"], **options)
     backend.restore_state(backend_state)
     integrity = sections.get("integrity")
     if integrity is not None and integrity.get("digest") is not None:

@@ -54,7 +54,7 @@ class SessionEngine:
         from repro.api import LoopProperty, VerificationSession
 
         properties = (LoopProperty(),) if check_loops else ()
-        if backend in ("veriflow", "sharded", "parallel"):
+        if backend in ("veriflow", "sharded"):
             # These fuse loop checking into the update itself; with
             # checking off, the native per-update sweep must be skipped
             # too or --no-check would still pay for it.
@@ -83,8 +83,7 @@ class SessionEngine:
         The recovered session's ``sequence`` says how many ops of the
         original stream are already applied — continue from there.
         ``backend_overrides`` adjust the snapshot's saved backend
-        options (e.g. ``force_inline=True`` to restore a parallel
-        checkpoint without spawning workers).
+        options.
         """
         from repro.persist import SessionStore
 

@@ -5,7 +5,7 @@ backends (one fresh :class:`~repro.api.VerificationSession` each, with
 its own property instances) and through the
 :class:`~repro.scenarios.oracle.SweepOracle`, then diffs the per-update
 violation streams.  The diff is the whole point: Delta-net's atoms, the
-sharded/parallel fan-outs, Veriflow's ECs and the rest must deliver the
+sharded fan-out, Veriflow's ECs and the rest must deliver the
 *identical* alert stream on the identical trace, op by op.
 """
 

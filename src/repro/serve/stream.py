@@ -20,11 +20,9 @@ take the session's *write* lock, so updates, checkpoints and scrub
 steps serialize; so does any request addressed to a speculative child
 (a ``spec`` key), because children share ownership structures with the
 parent copy-on-write.  Reads take the *read* side and run concurrently
-with each other — on backends that declare ``concurrent_read_safe``
-(pure in-process traversals); backends whose queries fan out over
-worker pipes fall back to exclusive access.  ``health`` and ``metrics``
-take no session lock at all, so the daemon stays observable while an
-update runs (or a shard worker is wedged).
+with each other: every backend's queries are in-process traversals.
+``health`` and ``metrics`` take no session lock at all, so the daemon
+stays observable while an update runs.
 """
 
 from __future__ import annotations
@@ -253,8 +251,7 @@ class StreamServer:
     wait; breaching either yields an immediate ``retry_after`` error
     response instead of an unbounded queue.  (The timeout bounds time
     *waiting to start* — Python cannot abort a dispatch already
-    running; runaway worker commands are bounded separately by the
-    parallel backend's per-request ``deadline``.)
+    running.)
 
     ``name`` identifies this session in multi-tenant deployments and
     labels every metric sample; ``metrics`` shares one
@@ -364,10 +361,6 @@ class StreamServer:
                 self._watch(prop_name, {})
             self.store.checkpoint(self.session)
             log(f"fresh session ({engine}, width={width}) in {store_dir}")
-        # Pure in-process backends declare their queries read-safe;
-        # anything else (worker pipes) keeps reads exclusive.
-        self._reads_shared = bool(getattr(
-            self.session.backend, "concurrent_read_safe", False))
         self._last_checkpoint = self.session.sequence
         self.scrubber = Scrubber(self.session, entries_per_step=scrub_budget)
         self._m_sequence.watch((self.name,), lambda: self.session.sequence)
@@ -470,8 +463,8 @@ class StreamServer:
         return sequence
 
     def close(self) -> None:
-        """Clean shutdown: final checkpoint, stop the tickers, reap
-        workers, release the metric gauge.  Idempotent — the drain path
+        """Clean shutdown: final checkpoint, stop the tickers, close
+        the session, release the metric gauge.  Idempotent — the drain path
         and a ``finally`` may both reach it.
         """
         if self._closed:
@@ -562,9 +555,9 @@ class StreamServer:
             wait: ``False`` from a thread that must not block (the
                 hub's event loop): the response is ``None``, nothing
                 counted or changed, unless this is a point update that
-                cannot block or run long — no backend on worker pipes,
-                every watched property ``delta_bounded``, the session
-                lock free right now, no checkpoint due.
+                cannot block or run long — every watched property
+                ``delta_bounded``, the session lock free right now, no
+                checkpoint due.
 
         Returns:
             ``(response, keep_going)`` exactly as :meth:`handle_line`.
@@ -572,8 +565,8 @@ class StreamServer:
         cmd = request.get("cmd") if isinstance(request, dict) else None
         if cmd == "health":
             # Deliberately lock-free: health must answer while an
-            # update holds the session (or a worker is wedged).  The
-            # fields are snapshots, racy by design.
+            # update holds the session.  The fields are snapshots,
+            # racy by design.
             self._m_requests.inc(session=self.name, verb="health")
             return self._health(), not self._draining
         if cmd == "metrics":
@@ -582,7 +575,6 @@ class StreamServer:
                     "metrics": self.metrics.render_text()}, \
                 not self._draining
         if not wait and (VERB_CLASS.get(cmd) != "point" or "spec" in request
-                         or not self._reads_shared
                          or not all(getattr(prop, "delta_bounded", False)
                                     for prop in self.session.properties)):
             return None, True
@@ -598,7 +590,6 @@ class StreamServer:
                         "retry_after": self.retry_after}, True
             self._waiters += 1
         exclusive = (VERB_CLASS.get(cmd, "read") != "read"
-                     or not self._reads_shared
                      or (isinstance(request, dict) and "spec" in request))
         acquired = False
         try:
@@ -648,21 +639,9 @@ class StreamServer:
         return self._waiters + self.backlog()
 
     def _health(self) -> Dict[str, Any]:
-        backend_health: Dict[str, Any] = {}
-        getter = getattr(self.session.backend, "health", None)
-        if callable(getter):
-            try:
-                backend_health = dict(getter())
-            except Exception as exc:
-                backend_health = {"error": f"{type(exc).__name__}: {exc}"}
-        status = "ok"
-        if backend_health.get("degraded"):
-            status = "degraded"
-        if self._draining:
-            status = "draining"
         return {
             "ok": True,
-            "status": status,
+            "status": "draining" if self._draining else "ok",
             "session": self.name,
             "seq": self.session.sequence,
             "backend": self.session.backend_name,
@@ -672,7 +651,9 @@ class StreamServer:
             "request_timeout": self.request_timeout,
             "last_checkpoint": self._last_checkpoint,
             "scrub": _jsonable(self.scrubber.status()),
-            "workers": _jsonable(backend_health),
+            # Kept for the additive wire protocol: no backend has
+            # worker processes.
+            "workers": {},
         }
 
     def apply_op(self, op: Op) -> Dict[str, Any]:

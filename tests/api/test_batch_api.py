@@ -35,17 +35,16 @@ def make_workload(seed, count=24):
     return rules, removals
 
 
-NATIVE_BATCH = ("deltanet", "sharded", "parallel")
+NATIVE_BATCH = ("deltanet", "sharded")
 FALLBACK = ("veriflow", "apv", "netplumber")
 
 
 class TestBackendApplyBatch:
     @pytest.mark.parametrize("name", sorted(available_backends()))
     def test_matches_per_op_state(self, name):
-        options = {"force_inline": True} if name == "parallel" else {}
         rules, removals = make_workload(3, count=18)
-        sequential = create_backend(name, width=8, **options)
-        batched = create_backend(name, width=8, **options)
+        sequential = create_backend(name, width=8)
+        batched = create_backend(name, width=8)
         for rule in rules:
             sequential.insert(rule)
         for rid in removals:
@@ -60,8 +59,7 @@ class TestBackendApplyBatch:
 
     @pytest.mark.parametrize("name", NATIVE_BATCH)
     def test_native_batch_capability(self, name):
-        options = {"force_inline": True} if name == "parallel" else {}
-        backend = create_backend(name, width=8, **options)
+        backend = create_backend(name, width=8)
         assert backend.supports_batch
         backend.close()
 
@@ -183,27 +181,29 @@ class TestSessionApplyBatch:
         assert result.num_ops == 1
         assert session.query(FlowsOn(("a", "b"))).spans == [(0, 64)]
 
-    def test_parallel_nocheck_still_reports_loops_via_sweep(self):
+    def test_sharded_nocheck_still_reports_loops_via_sweep(self):
         """With native checking off the backend must report loops=None,
         so a watched LoopProperty falls back to the full sweep instead of
         trusting an empty 'checked, clean' result."""
-        with VerificationSession("parallel", width=8, shards=2,
-                                 check_loops=False, force_inline=True,
+        with VerificationSession("sharded", width=8, shards=2,
+                                 check_loops=False,
                                  properties=(LoopProperty(),)) as session:
             rules = [Rule.forward(i, 0, 256, 1, f"s{i}", f"s{(i + 1) % 3}")
                      for i in range(3)]
             result = session.apply_batch(rules)
             assert len(result.violations) == 1
-            per_op = VerificationSession("parallel", width=8, shards=2,
-                                         check_loops=False, force_inline=True,
+            per_op = VerificationSession("sharded", width=8, shards=2,
+                                         check_loops=False,
                                          properties=(LoopProperty(),))
             for rule in rules:
                 per_op.insert(rule)
             assert len(per_op.violations()) == 1
             per_op.close()
 
-    def test_parallel_backend_through_session(self):
-        with VerificationSession("parallel", width=8, shards=2,
+    def test_sharded_backend_through_session(self):
+        """A ring spanning both shards is one loop in each shard's
+        checker, and one violation in the session."""
+        with VerificationSession("sharded", width=8, shards=2,
                                  properties=(LoopProperty(),)) as session:
             rules = [Rule.forward(i, 0, 256, 1, f"s{i}", f"s{(i + 1) % 3}")
                      for i in range(3)]

@@ -24,14 +24,10 @@ def _spans(value):
     return tuple(tuple(span) for span in value)
 
 
-def _options(backend):
-    return {"force_inline": True, "shards": 2} if backend == "parallel" else {}
-
-
 def ring_session(backend):
     """Three rules: a ring on [0, 128) once rid 3 closes it, plus a
     disjoint a->c span on [128, 256)."""
-    session = VerificationSession(backend, width=WIDTH, **_options(backend))
+    session = VerificationSession(backend, width=WIDTH)
     session.insert(Rule.forward(0, 0, 128, 1, "a", "b"))
     session.insert(Rule.forward(1, 0, 128, 1, "b", "c"))
     session.insert(Rule.forward(2, 128, 256, 1, "a", "c"))

@@ -23,11 +23,7 @@ from repro.core.rules import Rule
 
 WIDTH = 8
 NODES = ["a", "b", "c", "d"]
-SPEC_BACKENDS = ["deltanet", "sharded", "parallel"]
-
-
-def _options(backend):
-    return {"force_inline": True, "shards": 2} if backend == "parallel" else {}
+SPEC_BACKENDS = ["deltanet", "sharded"]
 
 
 def _trace(rng, n_ops, rid_base=0):
@@ -82,7 +78,7 @@ def test_speculative_children_match_clone_then_apply(seed, backend, k):
     base = _trace(rng, rng.randrange(4, 14))
     candidates = [_trace(rng, rng.randrange(1, 6), rid_base=100 * (i + 1))
                   for i in range(k)]
-    parent = VerificationSession(backend, width=WIDTH, **_options(backend))
+    parent = VerificationSession(backend, width=WIDTH)
     try:
         parent.watch(LoopProperty())
         _apply(parent, base)
@@ -93,8 +89,7 @@ def test_speculative_children_match_clone_then_apply(seed, backend, k):
                 _apply(child, candidate)
             # Each child == a fresh clone replaying base + its candidate.
             for child, candidate in zip(children, candidates):
-                clone = VerificationSession(backend, width=WIDTH,
-                                            **_options(backend))
+                clone = VerificationSession(backend, width=WIDTH)
                 try:
                     _apply(clone, base)
                     _apply(clone, candidate)
@@ -126,7 +121,7 @@ def test_speculative_children_match_clone_then_apply(seed, backend, k):
 @given(seed=st.integers(0, 2**31), backend=st.sampled_from(SPEC_BACKENDS))
 def test_discard_is_invisible_and_parent_update_stales_children(seed, backend):
     rng = random.Random(seed)
-    parent = VerificationSession(backend, width=WIDTH, **_options(backend))
+    parent = VerificationSession(backend, width=WIDTH)
     try:
         _apply(parent, _trace(rng, rng.randrange(3, 10)))
         before = _fingerprint(parent)

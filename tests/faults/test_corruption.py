@@ -1,8 +1,8 @@
 """Corruption plans and the corruption-replay harness.
 
 The contract is stricter than chaos: a flipped snapshot or journal byte
-may cost a rebuild, a desynchronized shard may cost a scrub-and-repair
-cycle, but the delivered per-op violation stream must still equal the
+or a desynchronized label may cost a rebuild, but the delivered per-op
+violation stream must still equal the
 fault-free sweep oracle's — loud failure or correct answers, never a
 silently wrong stream.
 """
@@ -15,7 +15,7 @@ from repro.faults import (
     CORRUPTION_KINDS, ChaosPlan, FaultEvent, corruption_plan,
     corruption_replay,
 )
-from repro.faults.corruption import flip_byte
+from repro.faults.corruption import desync_label, flip_byte
 from repro.scenarios import SweepOracle, build_scenario, diff_streams
 from repro.scenarios.runner import run_corruption_scenario
 
@@ -50,6 +50,34 @@ class TestPlansAndPrimitives:
         open(path, "wb").close()
         assert flip_byte(path, random.Random(0)) == -1
 
+    @pytest.mark.parametrize("backend,options", [
+        ("deltanet", {}), ("sharded", {"shards": 2})])
+    def test_desync_label_bypasses_the_digest_and_scrub_sees_it(
+            self, backend, options):
+        from repro.api import VerificationSession
+        from repro.integrity import Scrubber
+
+        scenario = small_scenario(seed=5)
+        with VerificationSession(backend, width=scenario.width,
+                                 **options) as session:
+            for op in scenario.ops[:scenario.num_ops // 2]:
+                session.apply(op)
+            assert Scrubber(session).run_full().ok
+            digest = session.state_digest()
+            nets = getattr(session.native, "nets", [session.native])
+            assert desync_label(nets[-1])
+            assert session.state_digest() == digest
+            report = Scrubber(session).run_full()
+            assert not report.ok
+            assert report["mismatches"] == [
+                {"net": len(nets) - 1, "component": "labels"}]
+            assert report["repaired"] == [] and report["escalated"] == []
+
+    def test_desync_label_needs_a_label(self):
+        from repro.core.deltanet import DeltaNet
+
+        assert not desync_label(DeltaNet(width=8))
+
 
 class TestCorruptionReplay:
     def test_file_corruption_never_corrupts_the_stream(self, tmp_path):
@@ -69,22 +97,25 @@ class TestCorruptionReplay:
         assert diff_streams("deltanet", scenario.ops, oracle_stream,
                             run.delivered) == []
 
-    def test_desync_is_repaired_and_stream_matches_oracle(self, tmp_path):
-        # The acceptance scenario: an injected desync on the parallel
-        # backend must be caught by the scrubber within one pass,
-        # repaired via re-seed, and the post-repair stream must match
-        # the fault-free oracle byte for byte.
+    @pytest.mark.parametrize("backend,options", [
+        ("deltanet", {}), ("sharded", {"shards": 2})])
+    def test_desync_is_detected_and_stream_matches_oracle(
+            self, tmp_path, backend, options):
+        # The acceptance scenario: a label desynchronized behind its
+        # digest's back must be caught by one full scrub pass, the
+        # harness must rebuild loudly, and the stream must match the
+        # fault-free oracle byte for byte.
         scenario = small_scenario(seed=5)
         plan = ChaosPlan(seed=0, events=[
             FaultEvent(op_index=scenario.num_ops // 2,
-                       kind="desync_shard", shard=0)])
-        run = corruption_replay(scenario, "parallel", plan,
-                                str(tmp_path / "s"), shards=2,
-                                force_inline=True, deadline=10.0)
+                       kind="desync_label", shard=1)])
+        run = corruption_replay(scenario, backend, plan,
+                                str(tmp_path / "s"), **options)
         assert run.error is None, run.error
-        assert run.chaos["repairs"] >= 1
+        assert run.chaos["detections"] == 1 and run.chaos["rebuilds"] == 1
+        assert not run.chaos["skipped"]
         oracle = SweepOracle(scenario.property_specs, width=scenario.width)
-        assert diff_streams("parallel", scenario.ops,
+        assert diff_streams(backend, scenario.ops,
                             oracle.stream(scenario.ops),
                             run.delivered) == []
 

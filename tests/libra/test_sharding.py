@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.checkers.loops import find_forwarding_loops
+from repro.checkers.loops import distinct_cycles, find_forwarding_loops
 from repro.core.deltanet import DeltaNet
 from repro.core.rules import Rule
 from repro.libra.sharding import ShardedDeltaNet, even_shards
@@ -110,6 +110,31 @@ class TestShardedDeltaNet:
         assert {frozenset(l.cycle) for l in sharded_loops} == \
             {frozenset(l.cycle) for l in mono_loops}
 
+    def test_spanning_rule_loop_detected_once(self):
+        """A ring spanning two shards loops in both; the per-shard
+        checkers find it twice and the distinct cycles name it once."""
+        sharded = ShardedDeltaNet(even_shards(4, 8), width=8)
+        rules = [Rule.forward(rid, 96, 160, 1, src, dst)
+                 for rid, (src, dst) in enumerate(
+                     (("a", "b"), ("b", "c"), ("c", "a")))]
+        deltas = sharded.apply_batch(rules)
+        assert sorted(deltas) == [1, 2]
+        loops = sharded.check_update(deltas)
+        assert len(loops) == 2
+        cycles = distinct_cycles(loops)
+        assert len(cycles) == 1 and frozenset(cycles[0]) == {"a", "b", "c"}
+
+    def test_rejected_batch_leaves_shards_untouched(self):
+        sharded = ShardedDeltaNet(even_shards(2, 8), width=8)
+        sharded.insert_rule(Rule.forward(0, 0, 16, 1, "a", "b"))
+        before = sharded.state_dict()
+        with pytest.raises(ValueError):
+            sharded.apply_batch([Rule.forward(1, 16, 32, 1, "a", "c"),
+                                 Rule.forward(0, 0, 8, 2, "a", "b")])
+        assert sharded.num_rules == 1
+        assert sharded.flows_on(("a", "c")) == []
+        assert sharded.state_dict() == before
+
     def test_owner_link_at(self):
         sharded = ShardedDeltaNet(even_shards(2, 8), width=8)
         sharded.insert_rule(Rule.forward(0, 0, 256, 1, "s1", "s2"))
@@ -126,3 +151,4 @@ class TestShardedDeltaNet:
         sizes = sharded.shard_sizes()
         assert len(sizes) == 4
         assert sum(r for r, _a in sizes) >= 60  # clipping can add copies
+        assert sharded.total_atoms == sum(a for _r, a in sizes)

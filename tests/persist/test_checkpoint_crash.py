@@ -24,7 +24,6 @@ from tests.conftest import random_rules
 BACKENDS = [
     ("deltanet", {}),
     ("sharded", {"shards": 2}),
-    ("parallel", {"shards": 2, "force_inline": True}),
 ]
 
 

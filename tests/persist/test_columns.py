@@ -155,7 +155,6 @@ BACKENDS = [
     ("deltanet", {}),
     ("deltanet", {"gc": True}),
     ("sharded", {"shards": 3}),
-    ("parallel", {"shards": 2, "force_inline": True}),
     ("veriflow", {}),
 ]
 

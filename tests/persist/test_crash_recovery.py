@@ -4,7 +4,7 @@ For a random trace and a random crash point: snapshot the session at
 the crash point, reload it, replay the suffix, and require the
 loops/blackholes/reachability results — both the one-shot queries and
 the per-update violation deliveries — to equal the uninterrupted run's,
-on all three Delta-net backends (deltanet, sharded, parallel).
+on both Delta-net backends (deltanet, sharded).
 """
 
 import io
@@ -25,9 +25,6 @@ from tests.conftest import random_rules
 BACKENDS = [
     ("deltanet", {}),
     ("sharded", {"shards": 2}),
-    # Inline shard servers: identical semantics to process workers,
-    # without a fork per hypothesis example.
-    ("parallel", {"shards": 2, "force_inline": True}),
 ]
 
 

@@ -2,7 +2,7 @@
 
 The contract under test (ISSUE acceptance): after restoring a snapshot,
 replaying the remaining trace yields *identical* check results to the
-uninterrupted session — on deltanet, sharded and parallel backends —
+uninterrupted session — on the deltanet and sharded backends —
 and saving the restored session reproduces the snapshot byte for byte.
 """
 
@@ -28,7 +28,6 @@ BACKENDS = [
     ("deltanet", {}),
     ("deltanet", {"gc": True}),
     ("sharded", {"shards": 3}),
-    ("parallel", {"shards": 2, "force_inline": True}),
 ]
 
 
@@ -200,6 +199,78 @@ def test_version3_snapshot_drops_the_treap_prng():
     assert len(blob) < os.path.getsize(V3_FIXTURE)
 
 
+# -- the retired process-per-shard backend's snapshots --------------------------
+
+#: ``v2_fixture_ops(V2_FIXTURE_OPS)`` on the process-per-shard
+#: ``parallel`` backend (``width=8, gc=True, shards=2``, shard servers
+#: in-process), as written by commit aa0ae04, the last to have that
+#: backend.  Its meta names ``parallel`` and its backend section has
+#: ``kind: "parallel"``; the state is ``ShardedDeltaNet``'s, so it
+#: restores as ``sharded``.
+PARALLEL_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                                "session_parallel_v4.snap")
+#: The ``state_digest()`` the writing session reported.
+PARALLEL_FIXTURE_DIGEST = ("xorsum1:a8.f4ad68272ef40030.4036e6edf746cb10"
+                           ":46.ffeaf1cb67d73c3a.3a89e6ab60e0b262")
+
+
+def sharded_fixture_session(count=V2_FIXTURE_OPS):
+    session = VerificationSession("sharded", width=8, gc=True, shards=2,
+                                  properties=(LoopProperty(),))
+    apply_ops(session, v2_fixture_ops(count))
+    return session
+
+
+def digest_rules_and_log(session):
+    return (session.state_digest(), session.rules(),
+            [(v.property_name, v.signature, v.detail)
+             for v in session.violations()])
+
+
+def assert_continues_like(restored, live, start):
+    assert digest_rules_and_log(restored) == digest_rules_and_log(live)
+    suffix = v2_fixture_ops(start + 50)[start:]
+    assert apply_ops(restored, suffix) == apply_ops(live, suffix)
+    assert digest_rules_and_log(restored) == digest_rules_and_log(live)
+    restored.check_invariants()
+    assert dumps_session(restored) == dumps_session(live)
+
+
+def test_parallel_snapshot_restores_as_sharded():
+    sections = read_snapshot(PARALLEL_FIXTURE)
+    assert sections["meta"]["backend"] == "parallel"
+    assert sections["backend"]["kind"] == "parallel"
+    restored = load_session(PARALLEL_FIXTURE, verify=True)
+    assert restored.backend_name == "sharded"
+    assert restored.sequence == V2_FIXTURE_OPS
+    assert restored.state_digest() == PARALLEL_FIXTURE_DIGEST
+    assert restored.num_rules == 78 and len(restored.violations()) == 14
+    assert_continues_like(restored, sharded_fixture_session(),
+                          V2_FIXTURE_OPS)
+
+
+def test_parallel_store_recovers_as_sharded(tmp_path):
+    from repro.datasets.format import Op
+    from repro.persist.store import SessionStore
+
+    store = SessionStore(str(tmp_path / "store"))
+    with open(PARALLEL_FIXTURE, "rb") as source, \
+            open(store.snapshot_path, "wb") as target:
+        target.write(source.read())
+    end = V2_FIXTURE_OPS + 30
+    tail = v2_fixture_ops(end)[V2_FIXTURE_OPS:]
+    for sequence, (kind, payload) in enumerate(tail, V2_FIXTURE_OPS + 1):
+        store.record(Op.insert(payload) if kind == "+" else Op.remove(payload),
+                     sequence)
+    store.close()
+    session, info = SessionStore(str(tmp_path / "store")).recover(
+        verify=True)
+    assert session.backend_name == "sharded"
+    assert (info.snapshot_sequence, info.replayed, info.sequence) == (
+        V2_FIXTURE_OPS, 30, end)
+    assert_continues_like(session, sharded_fixture_session(end), end)
+
+
 def test_generic_backend_fallback_roundtrip():
     session = VerificationSession("veriflow", width=8,
                                   properties=(LoopProperty(),))
@@ -257,12 +328,11 @@ def test_snapshot_info_reads_meta_only():
 
 
 def test_backend_overrides_apply_on_load():
-    session = VerificationSession("parallel", width=8, shards=2,
-                                  force_inline=True)
+    session = VerificationSession("sharded", width=8, shards=2)
     session.insert(session.make_rule(1, "0/2", 5, "a", "b"))
     restored = load_session(io.BytesIO(dumps_session(session)),
-                            force_inline=True)
-    assert restored.native.parallel is False
+                            check_loops=False)
+    assert restored.backend._check_loops is False
     assert restored.query(FlowsOn(("a", "b"))).spans \
         == session.query(FlowsOn(("a", "b"))).spans
     session.close()

@@ -50,7 +50,7 @@ def test_crash_resume_equals_uninterrupted(tmp_path, engine_name, batch_size):
     crashing = make_engine(engine_name, checkpoint_dir=state_dir,
                            checkpoint_every=13)
     replay(ops[:crash_at], crashing, batch_size=batch_size)
-    crashing.session.close()  # reap backend workers only; store untouched
+    crashing.session.close()  # release the backend only; store untouched
 
     resumed, info = SessionEngine.resume(state_dir)
     assert info.sequence == crash_at
@@ -81,13 +81,17 @@ def test_resume_without_checkpoint_fails(tmp_path):
 
 def test_resume_forwards_backend_overrides(tmp_path):
     state_dir = str(tmp_path / "ckpt")
-    engine = SessionEngine("parallel", width=8, shards=2,
-                           force_inline=True, checkpoint_dir=state_dir)
+    engine = SessionEngine("sharded", width=8, shards=2,
+                           checkpoint_dir=state_dir)
     for op in make_ops(count=6)[:6]:
         engine.process(op)
     engine.close()
-    resumed, _info = SessionEngine.resume(state_dir, force_inline=True)
-    assert resumed.session.native.parallel is False
+    # The overrides reach the backend factory: one it lacks is refused.
+    with pytest.raises(TypeError):
+        SessionEngine.resume(state_dir, no_such_option=True)
+    resumed, _info = SessionEngine.resume(state_dir, shards=2)
+    assert resumed.session.backend_name == "sharded"
+    assert resumed.session.sequence == 6
     resumed.close()
 
 

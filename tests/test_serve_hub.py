@@ -455,39 +455,6 @@ class TestInlineWrites:
         finally:
             fixture.stop()
 
-    def test_worker_backed_session_never_writes_on_the_loop(self, tmp_path):
-        # A point update of a backend that waits on worker pipes must not
-        # hold the loop: a blackholed shard costs that tenant its
-        # deadline, and nobody else anything.
-        from repro.faults import Fault, FaultInjector, drop, installed
-
-        fixture = HubFixture(str(tmp_path / "root"))
-        try:
-            fixture.manager.open("par", engine="parallel", shards=2,
-                                 deadline=1.0)
-            par, other = fixture.client(), fixture.client()
-            assert par.request(cmd="attach", session="par")["ok"]
-            other.request(cmd="open", session="other")
-            assert par.request(cmd="insert", rule=rule(1))["seq"] == 1
-            injector = FaultInjector([Fault("parallel.pipe.send", drop)])
-            with installed(injector):
-                par.send(cmd="insert", rule=rule(2))
-                assert wait_until(lambda: injector.fired)
-                for request in (dict(cmd="health", session=None),
-                                dict(cmd="health", session="par"),
-                                dict(cmd="insert", rule=rule(3))):
-                    begin = time.monotonic()
-                    assert other.request(**request)["ok"]
-                    assert time.monotonic() - begin < 0.1, request
-                assert fixture.manager.get("par").session.sequence == 1
-            assert par.recv()["seq"] == 2       # the worker was restarted
-            health = par.request(cmd="health")
-            assert health["workers"]["restarts"] >= 1
-            for client in (par, other):
-                client.close()
-        finally:
-            fixture.stop()
-
     def test_point_write_runs_inline_only_under_delta_bounded_watches(
             self, tmp_path):
         # A blackhole check re-derives the whole state, so a write to a
