@@ -106,8 +106,6 @@ VARIANTS: Dict[str, dict] = {
     "deltanet-nocheck": dict(engine="deltanet", batch=None, check=False),
     "deltanet-batched-nocheck": dict(engine="deltanet", batch=1000,
                                      check=False),
-    "sharded": dict(engine="sharded", batch=None, check=True),
-    "sharded-batched": dict(engine="sharded", batch=1000, check=True),
 }
 
 #: The headline acceptance ratio the baseline must demonstrate:

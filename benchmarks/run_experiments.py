@@ -3,8 +3,8 @@
 
 Runs the full experiment battery (Tables 2-5, Figure 8, Appendix C,
 Algorithm 3, plus the repository's ablations) at the configured scale
-and writes ``experiment_report.md``; EXPERIMENTS.md records a snapshot
-of these numbers with commentary.
+and writes the markdown report to ``experiment_report.md`` (or the
+path given as the first argument).
 
 Usage:  python benchmarks/run_experiments.py [output.md]
         REPRO_BENCH_SCALE=4 python benchmarks/run_experiments.py
@@ -193,7 +193,7 @@ def update_latency(report: ExperimentReport) -> None:
                      f"{entry['p50_us']:.1f}", f"{entry['p95_us']:.1f}",
                      f"{entry['p99_us']:.1f}", entry["atoms"],
                      f"{entry['peak_rss_kb'] / 1024:.0f}"))
-    report.section("Update latency — batched / sharded engines",
+    report.section("Update latency — per-op and batched Delta-net",
                    "Full per-update pipeline (rule op + incremental loop "
                    f"check); {note}")
     report.table(("Engine@rules", "ops/s", "p50 us", "p95 us", "p99 us",

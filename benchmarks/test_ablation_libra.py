@@ -1,7 +1,9 @@
 """Ablation A4 — Libra-style sharding over Delta-net (§5 future work).
 
 Shards the header space into disjoint slices, each with an independent
-Delta-net.  Shape targets:
+Delta-net (:class:`LibraShards`, a model local to this ablation: the
+paper leaves partitioning to future work, so the product has no sharded
+backend).  Shape targets:
 
   * semantics preserved: per-link flows equal the monolithic verifier's,
   * the largest shard's atom count shrinks as shards are added (the
@@ -9,11 +11,14 @@ Delta-net.  Shape targets:
   * total atoms overhead from clipping stays small.
 """
 
+from bisect import bisect_right
+
 import pytest
 
 from repro.analysis.tables import render_table
 from repro.core.deltanet import DeltaNet
-from repro.libra.sharding import ShardedDeltaNet, even_shards
+from repro.core.intervals import normalize
+from repro.core.rules import Action, Rule
 
 from benchmarks.common import dataset, print_report
 
@@ -22,10 +27,60 @@ _SHARD_COUNTS = (1, 2, 4, 8)
 _CACHE = {}
 
 
+def even_shards(count, width=32):
+    """Split ``[0, 2^width)`` into ``count`` equal half-closed slices."""
+    space = 1 << width
+    bounds = [space * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def clip_rule(rule, rid, lo, hi):
+    """``rule`` restricted to ``[lo : hi)``, re-identified as ``rid``."""
+    clip_lo, clip_hi = max(rule.lo, lo), min(rule.hi, hi)
+    if rule.action is Action.DROP:
+        return Rule.drop(rid, clip_lo, clip_hi, rule.priority, rule.source)
+    return Rule.forward(rid, clip_lo, clip_hi, rule.priority,
+                        rule.source, rule.target)
+
+
+class LibraShards:
+    """Libra's map step, insert-only: one Delta-net per disjoint slice of
+    the header space; a rule goes, clipped, to every slice it meets."""
+
+    def __init__(self, slices, width=32):
+        self.slices = list(slices)
+        self._starts = [lo for lo, _hi in self.slices]
+        self.nets = [DeltaNet(width=width) for _ in self.slices]
+        self.num_rules = 0
+        self._next_clipped = 0
+
+    def insert_rule(self, rule):
+        first = bisect_right(self._starts, rule.lo) - 1
+        last = bisect_right(self._starts, rule.hi - 1) - 1
+        for index in range(first, last + 1):
+            lo, hi = self.slices[index]
+            self.nets[index].insert_rule(
+                clip_rule(rule, self._next_clipped, lo, hi))
+            self._next_clipped += 1
+        self.num_rules += 1
+
+    def flows_on(self, link):
+        return normalize(span for net in self.nets
+                         for span in net.flows_on(link))
+
+    @property
+    def total_atoms(self):
+        return sum(net.num_atoms for net in self.nets)
+
+    def shard_sizes(self):
+        """(rules, atoms) per shard — the load-balance view."""
+        return [(net.num_rules, net.num_atoms) for net in self.nets]
+
+
 def _build(n_shards):
     key = n_shards
     if key not in _CACHE:
-        sharded = ShardedDeltaNet(even_shards(n_shards, 32), width=32)
+        sharded = LibraShards(even_shards(n_shards, 32), width=32)
         for op in dataset(_NAME).ops:
             if op.is_insert:
                 sharded.insert_rule(op.rule)
@@ -87,7 +142,7 @@ def test_benchmark_sharded_build(benchmark):
     ops = [op for op in dataset(_NAME).ops if op.is_insert]
 
     def build():
-        sharded = ShardedDeltaNet(even_shards(4, 32), width=32)
+        sharded = LibraShards(even_shards(4, 32), width=32)
         for op in ops:
             sharded.insert_rule(op.rule)
         return sharded

@@ -82,14 +82,14 @@ def test_all_backends_replay_uniformly(backend):
 
 
 def test_cross_backend_loop_verdicts_agree():
-    """All five backends agree whether the 4Switch campaign ever loops
+    """All four backends agree whether the 4Switch campaign ever loops
     (the incremental engines on the full run; prefixes for the rest)."""
     verdicts = {}
     for backend in available_backends():
         max_ops = 60 if backend in ("apv", "netplumber") else None
         _engine, result = session_replay("4Switch", backend, max_ops=max_ops)
         verdicts[backend] = result.loops_found > 0
-    assert verdicts["deltanet"] == verdicts["veriflow"] == verdicts["sharded"]
+    assert verdicts["deltanet"] == verdicts["veriflow"]
 
 
 @pytest.mark.parametrize("engine_name", ["deltanet", "veriflow"])

@@ -34,7 +34,7 @@ def main() -> None:
     topology = airtel()
     controller = Controller(topology)
     backend = os.environ.get("BACKEND", "deltanet")
-    options = {"gc": True} if backend in ("deltanet", "sharded") else {}
+    options = {"gc": True} if backend == "deltanet" else {}
     session = VerificationSession(backend, properties=(LoopProperty(),),
                                  **options)
     times = []

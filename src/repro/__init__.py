@@ -3,10 +3,10 @@
 A complete, from-scratch Python reproduction of Horn, Kheradmand &
 Prasad's Delta-net data-plane checker and everything its evaluation
 depends on: the Veriflow-RI baseline, an atomic-predicates verifier, a
-NetPlumber-style plumbing graph, Libra-style header-space sharding,
-topology/BGP/routing substrates, an SDN-IP control-plane emulation,
-dataset generators for all eight Table 2 workloads, and the replay and
-analysis harness behind every table and figure.
+NetPlumber-style plumbing graph, topology/BGP/routing substrates, an
+SDN-IP control-plane emulation, dataset generators for all eight Table 2
+workloads, and the replay and analysis harness behind every table and
+figure.
 
 Quickstart — the unified session API::
 
@@ -14,7 +14,7 @@ Quickstart — the unified session API::
                        BlackholeProperty, ReachabilityProperty)
 
     session = VerificationSession("deltanet")   # or "veriflow", "apv",
-                                                # "netplumber", "sharded"
+                                                # "netplumber"
     session.watch(LoopProperty())
     session.watch(BlackholeProperty())
     session.watch(ReachabilityProperty("s1", "s2"))
@@ -44,8 +44,8 @@ Quickstart — the unified session API::
 
 Every backend is constructed, fed updates, and queried identically; see
 ``available_backends()`` and ``docs/api.md``.  The original classes
-(``DeltaNet``, ``VeriflowRI``, ``APVerifier``, ``NetPlumber``,
-``ShardedDeltaNet``) and the ``repro.checkers`` functions remain
+(``DeltaNet``, ``VeriflowRI``, ``APVerifier``, ``NetPlumber``) and the
+``repro.checkers`` functions remain
 importable for direct, backend-specific use — new code should prefer the
 session API.
 """
@@ -61,7 +61,6 @@ from repro.checkers import (
 from repro.veriflow import VeriflowRI
 from repro.apv import APVerifier
 from repro.netplumber import NetPlumber
-from repro.libra import ShardedDeltaNet, even_shards
 from repro.api import (
     BackendAdapter, BackendUpdate, BlackholeProperty, FlowsOn,
     IsolationProperty, LinkDown, LoopProperty, Loops, Property,
@@ -90,6 +89,5 @@ __all__ = [
     "link_failure_impact", "reachable_atoms",
     # native verifiers (legacy direct entry points)
     "VeriflowRI", "APVerifier", "NetPlumber",
-    "ShardedDeltaNet", "even_shards",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Markdown experiment reports: paper artifact vs measured, in one file.
 
-Used by ``benchmarks/run_experiments.py`` to regenerate the numbers
-recorded in EXPERIMENTS.md.  Each section pairs the paper's reported
+Used by ``benchmarks/run_experiments.py`` to write
+``experiment_report.md`` (its default output).  Each section pairs the paper's reported
 values with this reproduction's measurements and the shape criterion
 that must hold.
 """

@@ -1,4 +1,4 @@
-"""The five registry backends wrapping this repo's native verifiers.
+"""The four registry backends wrapping this repo's native verifiers.
 
 Each adapter translates between the uniform :class:`~repro.api.registry.
 BackendAdapter` surface (rules in, canonical interval spans out) and one
@@ -8,7 +8,6 @@ native verifier:
 registry name   native class                                update cost
 ==============  ==========================================  ==============
 ``deltanet``    :class:`repro.core.deltanet.DeltaNet`       incremental
-``sharded``     :class:`repro.libra.sharding.ShardedDeltaNet`  incremental, per shard
 ``veriflow``    :class:`repro.veriflow.verifier.VeriflowRI` per-update ECs
 ``apv``         :class:`repro.apv.verifier.APVerifier`      full recompute
 ``netplumber``  :class:`repro.netplumber.plumbing.NetPlumber`  pipe maintenance
@@ -21,7 +20,7 @@ introspection) that the uniform protocol deliberately does not cover.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.api.registry import (
     BackendAdapter, BackendBatch, BackendUpdate, Cycle, Spans,
@@ -32,50 +31,12 @@ from repro.checkers.loops import (
     LoopChecker, cycle_alive, distinct_cycles, find_forwarding_loops,
 )
 from repro.core.atomset import atoms_to_interval_set
-from repro.core.delta_graph import DeltaGraph
 from repro.core.intervals import normalize
 from repro.core.rules import DROP, Link, Rule, cycle_links
 
 
 def _as_link(link: Union[Link, Tuple[object, object]]) -> Link:
     return link if isinstance(link, Link) else Link(*link)
-
-
-def _batch_updates_with_loops(inserts: List[Rule], removal_rules: List[Rule],
-                              loops: Optional[List[Cycle]]
-                              ) -> List[BackendUpdate]:
-    """Per-op updates for a natively checked batch.
-
-    The batch's loops are one aggregate observation; they ride on the
-    first update (``loops_for_commit`` unions over the batch, so the
-    placement is immaterial) while the rest carry empty lists to signal
-    "natively checked, nothing new".  ``loops=None`` means the native
-    check was *skipped* — every update then carries ``None`` so the
-    session's sweep fallback still fires for watched properties.
-    """
-    checked = loops is not None
-    updates = [BackendUpdate(rule.rid, False, rule,
-                             loops=[] if checked else None)
-               for rule in removal_rules]
-    updates += [BackendUpdate(rule.rid, True, rule,
-                              loops=[] if checked else None)
-                for rule in inserts]
-    if updates and loops is not None:
-        updates[0].loops = list(loops)
-    return updates
-
-
-def _blackhole_spans(nets) -> Dict[object, Spans]:
-    """:func:`~repro.checkers.blackholes.find_blackholes` over each net
-    (one, or the disjoint header-space slices of the shards), lowered to
-    canonical spans per node, the nodes in ``repr`` order — an order the
-    state alone fixes."""
-    spans: Dict[object, List[Tuple[int, int]]] = {}
-    for net in nets:
-        for node, atoms in find_blackholes(net).items():
-            spans.setdefault(node, []).extend(
-                atoms_to_interval_set(atoms, net.atoms))
-    return {node: normalize(spans[node]) for node in sorted(spans, key=repr)}
 
 
 def _label_loops(label: Dict[Link, Set[int]]) -> List[Cycle]:
@@ -161,7 +122,12 @@ class DeltaNetBackend(BackendAdapter):
         return distinct_cycles(find_forwarding_loops(self.native))
 
     def find_blackholes(self) -> Dict[object, Spans]:
-        return _blackhole_spans([self.native])
+        """:func:`~repro.checkers.blackholes.find_blackholes` lowered to
+        canonical spans per node, the nodes in ``repr`` order — an order
+        the state alone fixes."""
+        found = find_blackholes(self.native)
+        return {node: atoms_to_interval_set(found[node], self.native.atoms)
+                for node in sorted(found, key=repr)}
 
     def run_query(self, query):
         from repro.query.planner import evaluate_deltanet
@@ -231,130 +197,6 @@ class DeltaNetBackend(BackendAdapter):
         out = super().stats()
         out.update(atoms=self.native.num_atoms,
                    links=sum(1 for _ in self.native.links()))
-        return out
-
-
-@register_backend("sharded")
-class ShardedBackend(BackendAdapter):
-    """Libra-style sharded Delta-net: disjoint header-space slices, fan-out queries."""
-
-    def __init__(self, width: int = 32, shards: int = 4, gc: bool = False,
-                 check_loops: bool = True) -> None:
-        super().__init__(width=width)
-        from repro.libra.sharding import ShardedDeltaNet, even_shards
-
-        self.native = ShardedDeltaNet(even_shards(shards, width),
-                                      width=width, gc=gc)
-        self._check_loops = check_loops
-
-    def _shard_loops(self, deltas: Dict[int, DeltaGraph]) -> Optional[List[Cycle]]:
-        """Per-shard incremental check (the native per-shard checkers,
-        each chasing its shard's forwarding index) — ``None`` (not
-        ``[]``) when checking is off, so the session's sweep fallback
-        still fires."""
-        if not self._check_loops:
-            return None
-        return distinct_cycles(self.native.check_update(deltas))
-
-    def _do_insert(self, rule: Rule) -> BackendUpdate:
-        deltas = self.native.apply_insert(rule)
-        return BackendUpdate(rule.rid, True, rule,
-                             loops=self._shard_loops(deltas))
-
-    def _do_remove(self, rule: Rule) -> BackendUpdate:
-        deltas = self.native.apply_remove(rule.rid)
-        return BackendUpdate(rule.rid, False, rule,
-                             loops=self._shard_loops(deltas))
-
-    def _do_apply_batch(self, inserts, removals, removal_rules) -> BackendBatch:
-        deltas = self.native.apply_batch(inserts, removals)
-        loops = self._shard_loops(deltas)
-        updates = _batch_updates_with_loops(inserts, removal_rules, loops)
-        return BackendBatch(updates=updates)
-
-    def links(self) -> List[Link]:
-        seen: Dict[Link, None] = {}
-        for net in self.native.nets:
-            for link in net.links():
-                seen.setdefault(link)
-        return list(seen)
-
-    def flows_on(self, link) -> Spans:
-        return self.native.flows_on(_as_link(link))
-
-    def reachable(self, src: object, dst: object) -> Spans:
-        from repro.checkers.reachability import reachable_atoms
-
-        spans: List[Tuple[int, int]] = []
-        for net in self.native.nets:
-            atoms = reachable_atoms(net, src, dst)
-            spans.extend(atoms_to_interval_set(atoms, net.atoms))
-        return normalize(spans)
-
-    def find_loops(self) -> List[Cycle]:
-        return distinct_cycles(self.native.find_loops())
-
-    def find_blackholes(self) -> Dict[object, Spans]:
-        return _blackhole_spans(self.native.nets)
-
-    def cycle_alive(self, cycle: Cycle) -> bool:
-        """Atom-space liveness: alive in any shard (the slices
-        partition the header space, so a packet loops in exactly one)."""
-        return any(cycle_alive(net.findex, cycle)
-                   for net in self.native.nets)
-
-    def run_query(self, query):
-        from repro.query.planner import evaluate_sharded
-
-        return evaluate_sharded(self.native, query, backend=self.name)
-
-    def speculate(self) -> "ShardedBackend":
-        """Copy-on-write fork: every shard forks per-shard CoW children."""
-        child = ShardedBackend.__new__(ShardedBackend)
-        BackendAdapter.__init__(child, width=self.width)
-        child.native = self.native.speculate()
-        child._check_loops = self._check_loops
-        child._rules = dict(self._rules)
-        return child
-
-    def state_digest(self):
-        return self.native.state_digest()
-
-    def check_invariants(self) -> None:
-        for net in self.native.nets:
-            net.check_invariants()
-
-    def snapshot_state(self):
-        from repro.persist.columns import pack_rules
-
-        return {
-            "kind": "sharded",
-            "options": {"shards": self.native.num_shards,
-                        "gc": self.native.nets[0].gc,
-                        "check_loops": self._check_loops},
-            "native": self.native.state_dict(),
-            "rules": pack_rules(list(self._rules.values())),
-        }
-
-    def restore_state(self, state) -> None:
-        # "parallel": the process-per-shard backend's snapshots, whose
-        # native state has this backend's shape.
-        if state.get("kind") not in ("sharded", "parallel"):
-            super().restore_state(state)
-            return
-        if self._rules:
-            raise ValueError("restore_state requires a fresh backend")
-        from repro.libra.sharding import ShardedDeltaNet
-        from repro.persist.columns import unpack_rules
-
-        self.native = ShardedDeltaNet.from_state(state["native"])
-        self._rules = {rule.rid: rule for rule in unpack_rules(state["rules"])}
-
-    def stats(self):
-        out = super().stats()
-        out.update(shards=self.native.num_shards,
-                   total_atoms=self.native.total_atoms,
-                   shard_sizes=self.native.shard_sizes())
         return out
 
 

@@ -1,9 +1,9 @@
 """The :class:`Backend` protocol and the backend registry.
 
 Every verifier in this repository — Delta-net, Veriflow-RI, the
-atomic-predicates verifier, NetPlumber, and the Libra-style sharded
-Delta-net — is exposed to :class:`repro.api.session.VerificationSession`
-through the same small surface:
+atomic-predicates verifier and NetPlumber — is exposed to
+:class:`repro.api.session.VerificationSession` through the same small
+surface:
 
 * a *transactional* update pair ``insert(rule)`` / ``remove(rid)``, each
   returning a :class:`BackendUpdate` describing what the backend learned
@@ -67,8 +67,8 @@ class BackendUpdate:
     ``delta`` is a :class:`~repro.core.delta_graph.DeltaGraph` for
     backends that maintain one (Delta-net); ``loops`` holds canonical
     cycles for backends whose update natively runs a loop check
-    (Veriflow-RI, sharded Delta-net).  Either may be ``None`` — the
-    session's properties fall back to whole-data-plane sweeps then.
+    (Veriflow-RI).  Either may be ``None`` — the session's properties
+    fall back to whole-data-plane sweeps then.
     """
 
     rid: int
@@ -303,7 +303,7 @@ class BackendAdapter(abc.ABC):
         The child answers updates and queries against a private copy of
         the current state; the parent is never mutated.  The generic
         fallback clones through ``snapshot_state``/``restore_state`` —
-        O(state) per fork.  The Delta-net backends override this with
+        O(state) per fork.  The Delta-net backend overrides this with
         copy-on-write children (:mod:`repro.core.speculative`) that fork
         in O(boundaries + links) pointer copies and detect a parent that
         advanced underneath them (:class:`~repro.core.speculative.
@@ -373,8 +373,7 @@ class BackendAdapter(abc.ABC):
         (:meth:`_snapshot_options`); :meth:`restore_state` replays them
         through the checked single-op path, which reconstructs *any*
         backend exactly — at cold-replay cost.  Backends with native
-        snapshots (Delta-net and the sharded variants) override both
-        for warm starts.
+        snapshots (Delta-net) override both for warm starts.
         """
         from repro.persist.columns import pack_rules
 
@@ -408,9 +407,9 @@ class BackendAdapter(abc.ABC):
         The generic form fingerprints the canonical encoding of every
         installed rule — self-consistent across save/restore because
         restore replays the identical rule set.  Backends with native
-        incremental digests (Delta-net and the sharded variants)
-        override this with their O(1)-maintained label/boundary digest.
-        Returns ``None`` when digests are disabled.
+        incremental digests (Delta-net) override this with their
+        O(1)-maintained label/boundary digest.  Returns ``None`` when
+        digests are disabled.
         """
         from repro.integrity.digest import rules_digest
 

@@ -25,9 +25,8 @@ aggregated into a delta-graph": on backends that produce delta-graphs
 the per-op deltas are merged (adds cancelling removes) and the
 incremental property checks run once on the aggregate;
 :meth:`VerificationSession.apply_batch` additionally reaches the
-backends' native batched engines (``DeltaNet.apply_batch`` and the
-sharded equivalent).  Batches are
-*transactional* in the checking sense — one result, one set of
+backend's native batched engine (``DeltaNet.apply_batch``).  Batches
+are *transactional* in the checking sense — one result, one set of
 violations — not rollback-on-error; a failing operation propagates
 immediately, earlier operations of the batch stay applied, and
 ``txn.result`` still covers (and checks) those applied operations.
@@ -139,7 +138,7 @@ class VerificationSession:
     :func:`repro.api.available_backends`), an already-constructed
     :class:`BackendAdapter`, or any object satisfying the adapter
     surface.  Keyword ``options`` are forwarded to the backend factory
-    (``gc=True``, ``shards=8``, ...).
+    (``gc=True``, ``check_loops=False``, ...).
     """
 
     def __init__(self, backend: Union[str, BackendAdapter] = "deltanet",

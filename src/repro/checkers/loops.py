@@ -78,8 +78,8 @@ def _chase(next_hop: Callable[[object, int], Optional[object]],
 
 def distinct_cycles(loops: Iterable[Loop]) -> List[Tuple[object, ...]]:
     """The cycles of ``loops`` in first-seen order, one cycle found for
-    several atoms (or in several shards) folded.  Loop cycles are
-    canonical rotations already, so equality is enough."""
+    several atoms folded.  Loop cycles are canonical rotations already,
+    so equality is enough."""
     return list(dict.fromkeys(loop.cycle for loop in loops))
 
 

@@ -9,16 +9,16 @@ Examples::
     deltanet backends
     deltanet generate Berkeley --scale 2 -o berkeley.ops
     deltanet replay berkeley.ops --engine deltanet
-    deltanet replay berkeley.ops --engine sharded
+    deltanet replay berkeley.ops --engine deltanet-gc
     deltanet replay berkeley.ops --checkpoint state/ --resume
     deltanet replay berkeley.ops --diff-oracle
     deltanet serve --store state/ --listen 127.0.0.1:9900
     deltanet whatif Berkeley --scale 1
     deltanet datasets
     deltanet scenario list
-    deltanet scenario run link-flaps --seed 7 --backend sharded
+    deltanet scenario run link-flaps --seed 7 --backends deltanet
     deltanet fuzz --budget 200
-    deltanet fuzz --budget 50 --chaos --backends deltanet,sharded
+    deltanet fuzz --budget 50 --chaos --backends deltanet
     deltanet fuzz --replay artifacts/repro-link-flaps-seed99.repro
 """
 
@@ -651,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument("--corrupt", action="store_true",
                           help="corrupt state instead of killing "
                                "processes: snapshot byte flips, journal "
-                               "payload mutations, shard desyncs, and "
+                               "payload mutations, label desyncs, and "
                                "daemon frame mutation — failures must be "
                                "loud or answers correct, never silently "
                                "wrong")

@@ -57,9 +57,9 @@ def validate_batch_ops(inserts: Iterable["Rule"], removals: Iterable[int],
     within the batch and not already installed (unless the same batch
     removes it first — removals run first in batch order); each insert
     interval fits the ``width``-bit header space.  Returns the removal
-    id set.  Used by ``DeltaNet.apply_batch``, ``ShardedDeltaNet.
-    route_batch`` and ``BackendAdapter.apply_batch`` so a rejected batch
-    fails identically everywhere and leaves no trace.
+    id set.  Used by ``DeltaNet.apply_batch`` and
+    ``BackendAdapter.apply_batch`` so a rejected batch fails identically
+    everywhere and leaves no trace.
     """
     removal_set: Set[int] = set()
     for rid in removals:

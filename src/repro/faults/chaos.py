@@ -57,6 +57,9 @@ class FaultEvent:
 
     op_index: int
     kind: str
+    #: No fault kind reads it any more, but every event still draws it:
+    #: dropping the draw would reshuffle every seeded plan, and saved
+    #: plans carry the field.
     shard: int = 0
     #: kind-specific refinement (for ``checkpoint-crash``: which window)
     detail: Optional[str] = None

@@ -29,12 +29,11 @@ Fault kinds (sampled by :class:`~repro.faults.chaos.ChaosPlan` with
   harness re-applies the lost tail) or refuse loudly — never replay a
   damaged op as something else.
 * ``desync_label`` — toggle one atom's membership in one label of an
-  in-process :class:`~repro.core.deltanet.DeltaNet` (``deltanet``, or
-  one ``sharded`` shard) *without* updating its digest: simulated
-  memory corruption.  A full scrub pass
-  (:class:`repro.integrity.Scrubber`) must report the state unclean;
-  the harness then rebuilds from rule zero, the same loud path a
-  refused recovery takes.  On backends without Delta-net labels the
+  in-process :class:`~repro.core.deltanet.DeltaNet` (``deltanet``)
+  *without* updating its digest: simulated memory corruption.  A full
+  scrub pass (:class:`repro.integrity.Scrubber`) must report the state
+  unclean; the harness then rebuilds from rule zero, the same loud path
+  a refused recovery takes.  On backends without Delta-net labels the
   event is recorded as skipped, keeping plans portable.
 """
 
@@ -247,18 +246,13 @@ def corruption_replay(scenario, backend: str, plan: ChaosPlan,
                 rebuild(event.describe(), target)
         elif kind == "desync_label":
             native = session.native
-            nets = getattr(native, "nets", None) or (
-                [native] if hasattr(native, "findex") else [])
-            if not nets:
+            if not hasattr(native, "findex"):
                 skipped.append(event.describe() + " [no Delta-net labels]")
                 return
             if session.state_digest() is None:
                 skipped.append(event.describe() + " [digests disabled]")
                 return
-            # The event's shard first, then the next one holding labels.
-            order = [(event.shard + k) % len(nets) for k in range(len(nets))]
-            shard = next((i for i in order if desync_label(nets[i])), None)
-            if shard is None:
+            if not desync_label(native):
                 skipped.append(event.describe() + " [no labels]")
                 return
             # One full scrub pass must detect the drift; a clean report
@@ -269,8 +263,8 @@ def corruption_replay(scenario, backend: str, plan: ChaosPlan,
             report = Scrubber(session).run_full()
             if report.ok:
                 raise AssertionError(
-                    f"desync of net {shard} was not detected by a full "
-                    f"scrub pass: {dict(report)}")
+                    f"label desync was not detected by a full scrub "
+                    f"pass: {dict(report)}")
             detections += 1
             injected.append(f"{event.describe()}: scrub detected "
                             f"{len(report['mismatches'])} mismatch(es)")

@@ -290,7 +290,7 @@ def fuzz(budget: int, seed: int = 0,
 
     With ``corrupt=True`` the fault plan draws from
     :data:`~repro.faults.corruption.CORRUPTION_KINDS` instead —
-    snapshot byte flips, journal payload mutations, shard desyncs — and
+    snapshot byte flips, journal payload mutations, label desyncs — and
     each trace additionally runs a daemon frame-mutation trial
     (:mod:`repro.fuzz.frames`).  The invariant tightens to "loud
     failure or correct answers, never silently wrong".  Like chaos

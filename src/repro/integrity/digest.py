@@ -3,7 +3,7 @@
 The digest of a structure is an *unordered multiset fingerprint* of its
 entries: each entry is hashed to 64 bits and folded into two commutative
 accumulators — a running ``xor`` and a running ``sum`` modulo ``2**64``
-— plus an entry count.  Commutativity buys three properties the audit
+— plus an entry count.  Commutativity buys two properties the audit
 layer leans on:
 
 * **O(1) maintenance per changed entry.**  Adding an entry xors/adds its
@@ -14,10 +14,6 @@ layer leans on:
   entry set digest identically no matter the mutation order that built
   them — an incrementally maintained index and its snapshot-restored
   twin agree by construction, so ``load_session`` can cross-check.
-* **Shard composability.**  The digest of a sharded state is the
-  componentwise combination (xor of xors, sum of sums) of the per-shard
-  digests, so each shard is scrubbed on its own and the combined value
-  still compares against a snapshot trailer.
 
 Entry hashes use the splitmix64 finalizer — a few arithmetic ops per
 entry, far cheaper than a per-call ``blake2b`` and of ample quality for
@@ -226,7 +222,8 @@ def parse_digest(text: str) -> Tuple[str, List[Tuple[int, int, int]]]:
 
 
 def combine_digests(texts: Iterable[str]) -> Optional[str]:
-    """Componentwise combination of same-scheme digests (shard merge).
+    """Componentwise combination of same-scheme digests (xor of xors,
+    sum of sums): the digest of a union of disjoint entry sets.
 
     Counts and sums add (mod 2**64 for sums), xors xor.  Returns ``None``
     for an empty input or if any element is ``None`` (digests disabled

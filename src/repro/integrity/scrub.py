@@ -11,8 +11,8 @@ than comparing a digest of mixed-epoch state.
 
 Backend dispatch is structural:
 
-* **native nets** (``DeltaNet`` or ``ShardedDeltaNet``): entries are
-  hashed in-process against each net's live accumulators.
+* **native net** (``DeltaNet``): entries are hashed in-process against
+  the net's live accumulators.
 * **generic** (rule-set digests): a single-step pass recomputing the
   rule digest twice — a stability check only, since the generic digest
   is already derived on demand.
@@ -65,8 +65,6 @@ class Scrubber:
         native = getattr(self.session.backend, "native", None)
         if native is None:
             return None
-        if hasattr(native, "nets"):
-            return list(native.nets)
         if hasattr(native, "recompute_state_digest"):
             return [native]
         return None

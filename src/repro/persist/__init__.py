@@ -11,8 +11,8 @@ service:
   verifiers expose,
 * :mod:`repro.persist.snapshot` — versioned, section-framed, CRC-checked
   snapshot containers: ``save_session`` / ``load_session`` capture the
-  full verifier state (atom table, run-length labels, rule store,
-  per-shard fan-out) plus the session's property-subscription state,
+  full verifier state (atom table, run-length labels, rule store) plus
+  the session's property-subscription state,
 * :mod:`repro.persist.journal` — the append-only update journal whose
   tail, replayed on top of a snapshot, reconstructs the exact session
   (torn tails from a crash are detected and truncated),

@@ -26,8 +26,7 @@ A *session* snapshot has sections:
   the backend's constructor options,
 * ``backend`` — the backend's ``snapshot_state()`` (for Delta-net: the
   atom table, run-length labels, rule store and GC refcounts, as packed
-  int columns — :mod:`repro.persist.columns`; sharded backends nest one
-  such state per shard),
+  int columns — :mod:`repro.persist.columns`),
 * ``properties`` — each watched property's spec, internal state and
   delivered-violation signatures, so restored subscriptions neither
   re-alert old violations nor miss re-introduced ones,
@@ -261,8 +260,8 @@ def load_session(source: Union[Pathish, BinaryIO], *,
     constructor options.  With ``verify=True`` the restored backend's
     invariants are checked before returning.
 
-    Snapshots of the former process-per-shard ``parallel`` backend
-    restore as ``sharded``: their backend state has the same shape.
+    Snapshots of the retired Libra-style ``sharded`` and ``parallel``
+    backends restore as ``deltanet`` (see :func:`_restore_sharded`).
     """
     from repro.api.properties import Violation, property_from_spec
     from repro.api.session import VerificationSession
@@ -274,20 +273,18 @@ def load_session(source: Union[Pathish, BinaryIO], *,
         backend_state = sections["backend"]
     except KeyError as exc:
         raise SnapshotError(f"snapshot is missing section {exc}") from exc
-    options = dict(meta.get("options", {}))
-    options.update(backend_overrides)
     name = meta["backend"]
-    backend = create_backend("sharded" if name == "parallel" else name,
-                             width=meta["width"], **options)
-    backend.restore_state(backend_state)
-    integrity = sections.get("integrity")
-    if integrity is not None and integrity.get("digest") is not None:
-        restored = getattr(backend, "state_digest", lambda: None)()
-        if restored is not None and restored != integrity["digest"]:
-            raise SnapshotError(
-                "state digest mismatch: snapshot trailer recorded "
-                f"{integrity['digest']!r} but the restored backend digests "
-                f"to {restored!r} — refusing a silently diverged restore")
+    recorded = (sections.get("integrity") or {}).get("digest")
+    if name in _SHARDED_BACKENDS:
+        backend = _restore_sharded(backend_state, meta["width"], recorded,
+                                   backend_overrides)
+    else:
+        options = dict(meta.get("options", {}))
+        options.update(backend_overrides)
+        backend = create_backend(name, width=meta["width"], **options)
+        backend.restore_state(backend_state)
+        _check_digest(recorded,
+                      getattr(backend, "state_digest", lambda: None)())
     if verify:
         backend.check_invariants()
 
@@ -318,6 +315,56 @@ def load_session(source: Union[Pathish, BinaryIO], *,
         session._violation_log.append(
             Violation(name, tuple(signature), detail, data=data))
     return session
+
+
+#: Retired backends whose snapshots still load: Libra-style disjoint
+#: header-space shards, one Delta-net each, in one process (``sharded``)
+#: or one per shard (``parallel``).  Both wrote the same state.
+_SHARDED_BACKENDS = ("sharded", "parallel")
+
+
+def _check_digest(recorded: Optional[str], restored: Optional[str]) -> None:
+    """Refuse a restore whose state does not hash to the trailer's
+    digest (unchecked when either side keeps no digests)."""
+    if recorded is not None and restored is not None \
+            and restored != recorded:
+        raise SnapshotError(
+            "state digest mismatch: snapshot trailer recorded "
+            f"{recorded!r} but the restored backend digests "
+            f"to {restored!r} — refusing a silently diverged restore")
+
+
+def _restore_sharded(state: Dict[str, Any], width: int,
+                     recorded: Optional[str], overrides: Dict[str, Any]):
+    """A ``deltanet`` backend holding a retired sharded store's rules.
+
+    The store nests one Delta-net state per shard beside the session's
+    unclipped rules.  Each shard is rebuilt with ``DeltaNet.from_state``
+    first, and the store is refused unless the shards' digests, combined
+    componentwise (:func:`~repro.integrity.digest.combine_digests`: the
+    shards hold disjoint entry sets), equal the integrity trailer.  The
+    shards' atoms are clipped to their slices, so none carries over: the
+    unclipped rules are applied to a fresh ``deltanet`` in one batch,
+    with the shards' ``gc`` (``parallel`` stores keep it there alone)
+    and without ``shards`` or ``check_loops``, knobs ``deltanet`` does
+    not have.
+    """
+    from repro.api.registry import create_backend
+    from repro.core.deltanet import DeltaNet
+    from repro.integrity.digest import combine_digests
+    from repro.persist.columns import unpack_rules
+
+    if state.get("kind") not in _SHARDED_BACKENDS:
+        raise SnapshotError(
+            f"backend section of kind {state.get('kind')!r} in a "
+            f"sharded snapshot")
+    nets = state["native"]["nets"]
+    _check_digest(recorded, combine_digests(
+        DeltaNet.from_state(net).state_digest() for net in nets))
+    options = {"gc": bool(nets) and nets[0]["gc"], **overrides}
+    backend = create_backend("deltanet", width=width, **options)
+    backend.apply_batch(unpack_rules(state["rules"]))
+    return backend
 
 
 def dumps_session(session) -> bytes:

@@ -18,9 +18,7 @@ from repro.query.model import (
     QUERY_KINDS, Reachable, Spans, as_link, query_from_payload,
     query_to_payload,
 )
-from repro.query.planner import (
-    evaluate_deltanet, evaluate_generic, evaluate_sharded,
-)
+from repro.query.planner import evaluate_deltanet, evaluate_generic
 
 __all__ = [
     "Cycle",
@@ -36,7 +34,6 @@ __all__ = [
     "as_link",
     "evaluate_deltanet",
     "evaluate_generic",
-    "evaluate_sharded",
     "query_from_payload",
     "query_to_payload",
 ]

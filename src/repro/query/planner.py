@@ -7,8 +7,8 @@ QueryResult` envelope:
   (``flows_on``/``reachable``/``what_if_link_down``/``find_loops``) —
   correct on every registered backend, including ones whose natives have
   no atom currency (``atoms``/``subgraph`` stay ``None``).
-* :func:`evaluate_deltanet` / :func:`evaluate_sharded` plan against the
-  live Delta-net structures directly.  The planner restricts work to the
+* :func:`evaluate_deltanet` plans against the live Delta-net
+  structures directly.  The planner restricts work to the
   atom set and link subgraph the query can touch: a ``LinkDown`` query
   reads ``owner[atom]`` for the failed link's atoms only — each owning
   source names the one link it sends the atom on, so the affected
@@ -88,39 +88,4 @@ def evaluate_deltanet(net, query: Query, backend: str = "deltanet") -> QueryResu
         result.violations = distinct_cycles(impact.loops)
     else:
         result.violations = distinct_cycles(find_forwarding_loops(net))
-    return result
-
-
-def evaluate_sharded(sharded, query: Query, backend: str = "sharded") -> QueryResult:
-    """Goal-directed evaluation fanned over a ShardedDeltaNet's shards.
-
-    Spans merge across shards; atom ids do not (each shard numbers its
-    own atom universe), so ``atoms``/``subgraph`` stay ``None`` here.
-    """
-    from repro.checkers.loops import distinct_cycles, find_forwarding_loops
-    from repro.checkers.reachability import reachable_atoms
-    from repro.core.atomset import atoms_to_interval_set
-    from repro.core.intervals import normalize
-
-    kind = _kind(query)
-    result = QueryResult(kind=kind, backend=backend)
-    if isinstance(query, FlowsOn):
-        result.spans = sharded.flows_on(as_link(query.link))
-    elif isinstance(query, Reachable):
-        spans = []
-        for net in sharded.nets:
-            atoms = reachable_atoms(net, query.src, query.dst)
-            spans.extend(atoms_to_interval_set(atoms, net.atoms))
-        result.spans = normalize(spans)
-    elif isinstance(query, LinkDown):
-        link = as_link(query.link)
-        result.spans = sharded.flows_on(link)
-        if query.loops:
-            loops = []
-            for net in sharded.nets:
-                loops.extend(find_forwarding_loops(
-                    net, atoms=net.label.get(link, ())))
-            result.violations = distinct_cycles(loops)
-    else:
-        result.violations = distinct_cycles(sharded.find_loops())
     return result

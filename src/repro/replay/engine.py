@@ -4,7 +4,7 @@
 removals, we build the delta-graph for each operation, and find in it all
 forwarding loops."  :class:`SessionEngine` does that through the unified
 :class:`repro.api.VerificationSession`, so *any* registered backend
-(``deltanet``, ``veriflow``, ``apv``, ``netplumber``, ``sharded``) can be
+(``deltanet``, ``veriflow``, ``apv``, ``netplumber``) can be
 replayed and timed identically; :func:`make_engine` resolves a registry
 name (plus the ``deltanet-gc`` variant) to an engine.
 
@@ -54,8 +54,8 @@ class SessionEngine:
         from repro.api import LoopProperty, VerificationSession
 
         properties = (LoopProperty(),) if check_loops else ()
-        if backend in ("veriflow", "sharded"):
-            # These fuse loop checking into the update itself; with
+        if backend == "veriflow":
+            # It fuses loop checking into the update itself; with
             # checking off, the native per-update sweep must be skipped
             # too or --no-check would still pay for it.
             options.setdefault("check_loops", check_loops)

@@ -4,8 +4,8 @@
 backends (one fresh :class:`~repro.api.VerificationSession` each, with
 its own property instances) and through the
 :class:`~repro.scenarios.oracle.SweepOracle`, then diffs the per-update
-violation streams.  The diff is the whole point: Delta-net's atoms, the
-sharded fan-out, Veriflow's ECs and the rest must deliver the
+violation streams.  The diff is the whole point: Delta-net's atoms,
+Veriflow's ECs and the rest must deliver the
 *identical* alert stream on the identical trace, op by op.
 """
 
@@ -232,7 +232,7 @@ def run_corruption_scenario(scenario: Scenario, backends: Iterable[str],
     persisted and in-memory state*, then diff against the oracle.
 
     The structure-aware twin of :func:`run_chaos_scenario`: snapshot
-    byte flips, journal payload mutations and shard desyncs
+    byte flips, journal payload mutations and label desyncs
     (:mod:`repro.faults.corruption`) instead of process faults.  The
     invariant is "loud failure or correct answers": recovery may refuse
     a damaged store (the harness rebuilds from rule zero), but the

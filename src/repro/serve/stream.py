@@ -1094,13 +1094,11 @@ def attach_controller(controller, server: StreamServer,
                       = None) -> None:
     """Verify an SDN controller's committed operations as they land.
 
-    Works with any :mod:`repro.sdn` controller exposing
-    ``subscribe(listener)`` and emitting
-    :class:`~repro.datasets.format.Op` at commit time (both the direct
-    ``Controller`` and the barrier-confirmed
-    :class:`~repro.sdn.transport.OpenFlowController`).  Each committed
-    op flows through the daemon's journaled, checkpointed update path;
-    ``on_violation`` fires per delivered violation payload.
+    Works with any controller exposing ``subscribe(listener)`` and
+    emitting :class:`~repro.datasets.format.Op` at commit time, such as
+    :class:`repro.sdn.Controller`.  Each committed op flows through the
+    daemon's journaled, checkpointed update path; ``on_violation`` fires
+    per delivered violation payload.
     """
 
     def _listener(op: Op) -> None:

@@ -35,7 +35,7 @@ def make_workload(seed, count=24):
     return rules, removals
 
 
-NATIVE_BATCH = ("deltanet", "sharded")
+NATIVE_BATCH = ("deltanet",)
 FALLBACK = ("veriflow", "apv", "netplumber")
 
 
@@ -72,15 +72,15 @@ class TestBackendApplyBatch:
         assert isinstance(batch, BackendBatch)
         assert backend.num_rules == 1
 
-    def test_sharded_nocheck_reports_loops_none(self):
+    def test_veriflow_nocheck_reports_loops_none(self):
         """check_loops=False must report loops=None (sweep-fallback
         signal), and --no-check must actually reach the backend."""
-        backend = create_backend("sharded", width=8, check_loops=False)
+        backend = create_backend("veriflow", width=8, check_loops=False)
         update = backend.insert(Rule.forward(0, 0, 64, 1, "a", "b"))
         assert update.loops is None
         from repro.replay.engine import SessionEngine
 
-        engine = SessionEngine("sharded", width=8, check_loops=False)
+        engine = SessionEngine("veriflow", width=8, check_loops=False)
         assert engine.session.backend._check_loops is False
 
     def test_batch_validation_rejects_upfront(self):
@@ -181,35 +181,23 @@ class TestSessionApplyBatch:
         assert result.num_ops == 1
         assert session.query(FlowsOn(("a", "b"))).spans == [(0, 64)]
 
-    def test_sharded_nocheck_still_reports_loops_via_sweep(self):
+    def test_veriflow_nocheck_still_reports_loops_via_sweep(self):
         """With native checking off the backend must report loops=None,
         so a watched LoopProperty falls back to the full sweep instead of
         trusting an empty 'checked, clean' result."""
-        with VerificationSession("sharded", width=8, shards=2,
-                                 check_loops=False,
+        with VerificationSession("veriflow", width=8, check_loops=False,
                                  properties=(LoopProperty(),)) as session:
             rules = [Rule.forward(i, 0, 256, 1, f"s{i}", f"s{(i + 1) % 3}")
                      for i in range(3)]
             result = session.apply_batch(rules)
             assert len(result.violations) == 1
-            per_op = VerificationSession("sharded", width=8, shards=2,
+            per_op = VerificationSession("veriflow", width=8,
                                          check_loops=False,
                                          properties=(LoopProperty(),))
             for rule in rules:
                 per_op.insert(rule)
             assert len(per_op.violations()) == 1
             per_op.close()
-
-    def test_sharded_backend_through_session(self):
-        """A ring spanning both shards is one loop in each shard's
-        checker, and one violation in the session."""
-        with VerificationSession("sharded", width=8, shards=2,
-                                 properties=(LoopProperty(),)) as session:
-            rules = [Rule.forward(i, 0, 256, 1, f"s{i}", f"s{(i + 1) % 3}")
-                     for i in range(3)]
-            result = session.apply_batch(rules)
-            assert len(result.violations) == 1
-            assert session.stats()["shards"] == 2
 
 
 class TestBatchedReplay:

@@ -29,7 +29,6 @@ NODES = ["a", "b", "c"]
 BACKENDS = {
     "deltanet": ("deltanet", {}),
     "deltanet-gc": ("deltanet", {"gc": True}),
-    "sharded": ("sharded", {"shards": 2}),
 }
 
 

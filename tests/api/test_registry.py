@@ -9,24 +9,24 @@ from repro.api import (
 )
 from repro.core.rules import Rule
 
-FIVE = ("apv", "deltanet", "netplumber", "sharded", "veriflow")
+FOUR = ("apv", "deltanet", "netplumber", "veriflow")
 
 
 class TestAvailableBackends:
-    def test_lists_all_five(self):
-        assert set(FIVE) <= set(available_backends())
+    def test_lists_all_four(self):
+        assert available_backends() == FOUR
 
     def test_sorted(self):
         names = available_backends()
         assert list(names) == sorted(names)
 
     def test_descriptions_nonempty(self):
-        for name in FIVE:
+        for name in FOUR:
             assert backend_description(name)
 
 
 class TestCreateBackend:
-    @pytest.mark.parametrize("name", FIVE)
+    @pytest.mark.parametrize("name", FOUR)
     def test_round_trip(self, name):
         backend = create_backend(name, width=8)
         assert isinstance(backend, BackendAdapter)
@@ -49,8 +49,8 @@ class TestCreateBackend:
             VerificationSession("nope")
 
     def test_options_forwarded(self):
-        backend = create_backend("sharded", width=8, shards=2)
-        assert backend.native.num_shards == 2
+        backend = create_backend("veriflow", width=8, check_loops=False)
+        assert backend._check_loops is False
         gc = create_backend("deltanet", width=8, gc=True)
         assert gc.native.gc is True
 
@@ -90,14 +90,14 @@ class TestRegisterBackend:
 
 
 class TestUniformErrors:
-    @pytest.mark.parametrize("name", FIVE)
+    @pytest.mark.parametrize("name", FOUR)
     def test_duplicate_rid(self, name):
         backend = create_backend(name, width=8)
         backend.insert(Rule.forward(0, 0, 16, 1, "s1", "s2"))
         with pytest.raises(ValueError, match="duplicate"):
             backend.insert(Rule.forward(0, 0, 8, 2, "s1", "s3"))
 
-    @pytest.mark.parametrize("name", FIVE)
+    @pytest.mark.parametrize("name", FOUR)
     def test_unknown_rid(self, name):
         backend = create_backend(name, width=8)
         with pytest.raises(KeyError):

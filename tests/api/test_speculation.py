@@ -23,7 +23,6 @@ from repro.core.rules import Rule
 
 WIDTH = 8
 NODES = ["a", "b", "c", "d"]
-SPEC_BACKENDS = ["deltanet", "sharded"]
 
 
 def _trace(rng, n_ops, rid_base=0):
@@ -71,14 +70,13 @@ def _fingerprint(session):
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**31), backend=st.sampled_from(SPEC_BACKENDS),
-       k=st.integers(1, 3))
-def test_speculative_children_match_clone_then_apply(seed, backend, k):
+@given(seed=st.integers(0, 2**31), k=st.integers(1, 3))
+def test_speculative_children_match_clone_then_apply(seed, k):
     rng = random.Random(seed)
     base = _trace(rng, rng.randrange(4, 14))
     candidates = [_trace(rng, rng.randrange(1, 6), rid_base=100 * (i + 1))
                   for i in range(k)]
-    parent = VerificationSession(backend, width=WIDTH)
+    parent = VerificationSession("deltanet", width=WIDTH)
     try:
         parent.watch(LoopProperty())
         _apply(parent, base)
@@ -89,7 +87,7 @@ def test_speculative_children_match_clone_then_apply(seed, backend, k):
                 _apply(child, candidate)
             # Each child == a fresh clone replaying base + its candidate.
             for child, candidate in zip(children, candidates):
-                clone = VerificationSession(backend, width=WIDTH)
+                clone = VerificationSession("deltanet", width=WIDTH)
                 try:
                     _apply(clone, base)
                     _apply(clone, candidate)
@@ -118,10 +116,10 @@ def test_speculative_children_match_clone_then_apply(seed, backend, k):
 
 
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**31), backend=st.sampled_from(SPEC_BACKENDS))
-def test_discard_is_invisible_and_parent_update_stales_children(seed, backend):
+@given(seed=st.integers(0, 2**31))
+def test_discard_is_invisible_and_parent_update_stales_children(seed):
     rng = random.Random(seed)
-    parent = VerificationSession(backend, width=WIDTH)
+    parent = VerificationSession("deltanet", width=WIDTH)
     try:
         _apply(parent, _trace(rng, rng.randrange(3, 10)))
         before = _fingerprint(parent)

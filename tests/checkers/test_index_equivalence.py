@@ -4,8 +4,8 @@ The acceptance property of the forwarding-index refactor: every checker
 that now chases :class:`~repro.core.findex.ForwardingIndex` must return
 results *identical* to the seed's rebuild-per-check sweeps (preserved in
 :mod:`repro.checkers.sweep`) — for all five property types (loops,
-blackholes, reachability, waypoint, isolation) and across the deltanet
-and sharded backends.
+blackholes, reachability, waypoint, isolation) and across ``deltanet``
+with and without atom garbage collection.
 """
 
 import random
@@ -114,7 +114,7 @@ def _signature_log(session):
 
 
 class TestBackendsAgreeOnWatchedProperties:
-    """deltanet vs sharded sessions: same trace, same alerts."""
+    """deltanet with and without GC: same trace, same alerts."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_alert_streams_identical(self, seed):
@@ -122,8 +122,9 @@ class TestBackendsAgreeOnWatchedProperties:
         sessions = {
             "deltanet": VerificationSession("deltanet", width=WIDTH,
                                             properties=_five_properties()),
-            "sharded": VerificationSession("sharded", width=WIDTH, shards=3,
-                                           properties=_five_properties()),
+            "deltanet-gc": VerificationSession(
+                "deltanet", width=WIDTH, gc=True,
+                properties=_five_properties()),
         }
         try:
             for op in trace:
@@ -136,7 +137,7 @@ class TestBackendsAgreeOnWatchedProperties:
                         session.apply_batch(op[1], op[2])
             logs = {name: _signature_log(session)
                     for name, session in sessions.items()}
-            assert logs["sharded"] == logs["deltanet"]
+            assert logs["deltanet-gc"] == logs["deltanet"]
             # One-shot checks on the final state agree too, and the
             # deltanet session's final state agrees with the sweeps.
             for prop in _five_properties():
@@ -144,7 +145,7 @@ class TestBackendsAgreeOnWatchedProperties:
                     name: sorted(repr(v.signature)
                                  for v in session.check(prop))
                     for name, session in sessions.items()}
-                assert verdicts["sharded"] == verdicts["deltanet"]
+                assert verdicts["deltanet-gc"] == verdicts["deltanet"]
             native = sessions["deltanet"].native
             assert {loop.cycle
                     for loop in sweep.sweep_find_forwarding_loops(native)} \

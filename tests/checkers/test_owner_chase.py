@@ -4,15 +4,15 @@
 labels say the same thing a second way (the one out-link of the node
 whose label holds the atom).  This suite holds the two together after
 every update — single ops and ``apply_batch``, gc off and on, on a
-speculative child before and after it writes, per shard of a sharded
-net — and holds every checker built on the hop (``check_update``,
-``find_forwarding_loops`` full and restricted) to the stream of its
-label-only twin in :mod:`repro.checkers.sweep`, op for op.  The what-if
-query, which reads ``owner[atom]`` for the failed link's atoms, is held
-to the label-mask reference on every labelled link, and the set-at-a-time
-checkers (black holes, reachability, waypoint, isolation), which walk
-every live atom or a slice's atoms, to their ``sweep_*`` twins — and
-Delta-net's black-hole spans to the interval-algebra default.
+speculative child before and after it writes — and holds every checker
+built on the hop (``check_update``, ``find_forwarding_loops`` full and
+restricted) to the stream of its label-only twin in
+:mod:`repro.checkers.sweep`, op for op.  The what-if query, which reads
+``owner[atom]`` for the failed link's atoms, is held to the label-mask
+reference on every labelled link, and the set-at-a-time checkers (black
+holes, reachability, waypoint, isolation), which walk every live atom or
+a slice's atoms, to their ``sweep_*`` twins — and Delta-net's black-hole
+spans to the interval-algebra default.
 """
 
 import pytest
@@ -33,7 +33,6 @@ from repro.checkers.whatif import link_failure_impact
 from repro.core.deltanet import DeltaNet
 from repro.core.rules import DROP, Link, Rule
 from repro.core.speculative import SpeculativeDeltaNet
-from repro.libra.sharding import ShardedDeltaNet, even_shards
 
 from tests.conftest import label_mask_impact, label_scan_next_hop
 
@@ -90,17 +89,14 @@ class Trace:
         return None, self.live.pop(change[1] % len(self.live))
 
     def run(self, step, target):
-        """Apply one step to ``target`` (a DeltaNet or a ShardedDeltaNet,
-        which name their single-op entry points differently)."""
-        sharded = isinstance(target, ShardedDeltaNet)
-        insert = target.apply_insert if sharded else target.insert_rule
-        remove = target.apply_remove if sharded else target.remove_rule
+        """Apply one step to the DeltaNet ``target``."""
         if step[0] == "op":
             drawn = self.change(step[1])
             if drawn is None:
                 return None
             rule, rid = drawn
-            return insert(rule) if rule is not None else remove(rid)
+            return (target.insert_rule(rule) if rule is not None
+                    else target.remove_rule(rid))
         inserts, removals = [], []
         before = list(self.live)    # a batch removes only what predates it
         for change in step[1]:
@@ -224,31 +220,6 @@ def test_speculative_child_chases_without_copying(gc, parent_steps,
     # The parent never saw the child's writes.
     assert_hops_match_labels(parent)
     parent.check_invariants()
-
-
-@pytest.mark.parametrize("gc", [False, True])
-@settings(max_examples=40, deadline=None)
-@given(steps=_steps)
-def test_every_shard_chases_like_its_labels(gc, steps):
-    sharded = ShardedDeltaNet(even_shards(3, WIDTH), width=WIDTH, gc=gc)
-    trace = Trace()
-    for step in steps:
-        deltas = trace.run(step, sharded)
-        if deltas is None:
-            continue
-        expected = []
-        for index, delta in deltas.items():
-            if delta:
-                expected.extend(
-                    sweep.sweep_check_update(sharded.nets[index], delta))
-        assert sharded.check_update(deltas) == expected
-        for net in sharded.nets:
-            assert_hops_match_labels(net)
-            assert_whatif_matches_masks(net)
-            assert_properties_match_sweeps(net)
-        assert sharded.find_loops() == [
-            loop for net in sharded.nets
-            for loop in sweep.sweep_find_forwarding_loops(net)]
 
 
 def test_default_route_carries_every_atom():

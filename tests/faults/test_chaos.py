@@ -122,7 +122,7 @@ class TestChaosReplay:
         plan = ChaosPlan.random(scenario.seed, scenario.num_ops, faults=3,
                                 kinds=("crash-recover", "torn-tail",
                                        "checkpoint-crash"))
-        report = run_chaos_scenario(scenario, ["deltanet", "sharded"],
+        report = run_chaos_scenario(scenario, ["deltanet", "veriflow"],
                                     plan, str(tmp_path))
         assert report.ok, report.describe()
         for run in report.runs:

@@ -51,7 +51,7 @@ class TestPlansAndPrimitives:
         assert flip_byte(path, random.Random(0)) == -1
 
     @pytest.mark.parametrize("backend,options", [
-        ("deltanet", {}), ("sharded", {"shards": 2})])
+        ("deltanet", {}), ("deltanet", {"gc": True})])
     def test_desync_label_bypasses_the_digest_and_scrub_sees_it(
             self, backend, options):
         from repro.api import VerificationSession
@@ -64,13 +64,11 @@ class TestPlansAndPrimitives:
                 session.apply(op)
             assert Scrubber(session).run_full().ok
             digest = session.state_digest()
-            nets = getattr(session.native, "nets", [session.native])
-            assert desync_label(nets[-1])
+            assert desync_label(session.native)
             assert session.state_digest() == digest
             report = Scrubber(session).run_full()
             assert not report.ok
-            assert report["mismatches"] == [
-                {"net": len(nets) - 1, "component": "labels"}]
+            assert report["mismatches"] == [{"net": 0, "component": "labels"}]
             assert report["repaired"] == [] and report["escalated"] == []
 
     def test_desync_label_needs_a_label(self):
@@ -98,7 +96,7 @@ class TestCorruptionReplay:
                             run.delivered) == []
 
     @pytest.mark.parametrize("backend,options", [
-        ("deltanet", {}), ("sharded", {"shards": 2})])
+        ("deltanet", {}), ("deltanet", {"gc": True})])
     def test_desync_is_detected_and_stream_matches_oracle(
             self, tmp_path, backend, options):
         # The acceptance scenario: a label desynchronized behind its

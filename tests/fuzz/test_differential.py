@@ -25,7 +25,7 @@ def lossy_backend():
 
 class TestHealthyCampaign:
     def test_small_campaign_agrees(self):
-        report = fuzz(budget=3, seed=21, backends=["deltanet", "sharded"])
+        report = fuzz(budget=3, seed=21, backends=["deltanet", "veriflow"])
         assert report.ok
         assert report.attempted == report.passed == 3
         assert "OK" in report.describe()

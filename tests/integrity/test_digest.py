@@ -180,16 +180,6 @@ class TestDeltaNetDigest:
 
 
 class TestBackendDigests:
-    def test_sharded_digest_combines_per_net(self):
-        from repro.api.registry import create_backend
-
-        backend = create_backend("sharded", width=8)
-        for rule in random_rules(random.Random(5), 12, width=8, switches=4):
-            backend.insert(rule)
-        native = backend.native
-        assert backend.state_digest() == combine_digests(
-            net.state_digest() for net in native.nets)
-
     def test_generic_backend_rules_digest(self):
         from repro.api.registry import create_backend
 

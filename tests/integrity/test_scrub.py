@@ -28,13 +28,6 @@ class TestCleanPasses:
         assert scrubber.counters["mismatches"] == 0
         session.close()
 
-    def test_sharded_backend_scrubs_every_net(self):
-        session = make_session("sharded")
-        report = Scrubber(session).run_full()
-        assert report.ok
-        assert report["nets"] == len(session.backend.native.nets)
-        session.close()
-
     def test_budgeted_pass_takes_multiple_steps(self):
         session = make_session()
         scrubber = Scrubber(session, entries_per_step=1)

@@ -4,8 +4,8 @@
 directory holds a loadable snapshot plus a journal tail that
 reconstructs the session.  These tests aim an injected kill at each
 window of that promise — tmp written but not renamed, snapshot renamed
-but journal not rotated, fresh journal staged but not in place — on all
-three Delta-net backends, and require recovery plus a replayed suffix
+but journal not rotated, fresh journal staged but not in place — on
+Delta-net with and without atom GC, and require recovery plus a replayed suffix
 to deliver the exact violation stream of an uninterrupted run.
 """
 
@@ -23,8 +23,9 @@ from tests.conftest import random_rules
 
 BACKENDS = [
     ("deltanet", {}),
-    ("sharded", {"shards": 2}),
+    ("deltanet", {"gc": True}),
 ]
+BACKEND_IDS = ["deltanet", "deltanet-gc"]
 
 
 def build_ops(seed, count=30):
@@ -56,8 +57,7 @@ def fault_free_stream(backend, options, ops):
         return stream_of(session, ops)
 
 
-@pytest.mark.parametrize("backend,options", BACKENDS,
-                         ids=[name for name, _ in BACKENDS])
+@pytest.mark.parametrize("backend,options", BACKENDS, ids=BACKEND_IDS)
 @pytest.mark.parametrize("window", CHECKPOINT_WINDOWS)
 def test_crash_in_rotation_window_recovers_exactly(backend, options,
                                                    window, tmp_path, seed=9):
@@ -99,8 +99,7 @@ def test_crash_in_rotation_window_recovers_exactly(backend, options,
     assert delivered == expected
 
 
-@pytest.mark.parametrize("backend,options", BACKENDS,
-                         ids=[name for name, _ in BACKENDS])
+@pytest.mark.parametrize("backend,options", BACKENDS, ids=BACKEND_IDS)
 def test_torn_tail_during_rotation_crash(backend, options, tmp_path):
     """A torn journal record *and* an unrenamed snapshot tmp at once."""
     from repro.faults.chaos import _tear_journal

@@ -154,7 +154,6 @@ def test_rule_checks_still_apply_to_unpacked_rules():
 BACKENDS = [
     ("deltanet", {}),
     ("deltanet", {"gc": True}),
-    ("sharded", {"shards": 3}),
     ("veriflow", {}),
 ]
 

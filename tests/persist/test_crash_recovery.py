@@ -4,7 +4,7 @@ For a random trace and a random crash point: snapshot the session at
 the crash point, reload it, replay the suffix, and require the
 loops/blackholes/reachability results — both the one-shot queries and
 the per-update violation deliveries — to equal the uninterrupted run's,
-on both Delta-net backends (deltanet, sharded).
+on Delta-net with and without atom GC.
 """
 
 import io
@@ -24,8 +24,9 @@ from tests.conftest import random_rules
 
 BACKENDS = [
     ("deltanet", {}),
-    ("sharded", {"shards": 2}),
+    ("deltanet", {"gc": True}),
 ]
+BACKEND_IDS = ["deltanet", "deltanet-gc"]
 
 
 def build_trace(seed: int, count: int):
@@ -72,8 +73,7 @@ def final_verdicts(session):
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        count=st.integers(min_value=4, max_value=24),
        crash_fraction=st.floats(min_value=0.0, max_value=1.0))
-@pytest.mark.parametrize("backend,options", BACKENDS,
-                         ids=[b for b, _ in BACKENDS])
+@pytest.mark.parametrize("backend,options", BACKENDS, ids=BACKEND_IDS)
 def test_crash_anywhere_recovers_exactly(backend, options, seed, count,
                                          crash_fraction):
     trace = build_trace(seed, count)

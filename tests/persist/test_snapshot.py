@@ -2,7 +2,7 @@
 
 The contract under test (ISSUE acceptance): after restoring a snapshot,
 replaying the remaining trace yields *identical* check results to the
-uninterrupted session — on the deltanet and sharded backends —
+uninterrupted session — on deltanet with and without atom GC —
 and saving the restored session reproduces the snapshot byte for byte.
 """
 
@@ -27,7 +27,6 @@ from tests.conftest import random_rules
 BACKENDS = [
     ("deltanet", {}),
     ("deltanet", {"gc": True}),
-    ("sharded", {"shards": 3}),
 ]
 
 
@@ -199,62 +198,79 @@ def test_version3_snapshot_drops_the_treap_prng():
     assert len(blob) < os.path.getsize(V3_FIXTURE)
 
 
-# -- the retired process-per-shard backend's snapshots --------------------------
+# -- the retired Libra-style backends' snapshots -----------------------------
 
 #: ``v2_fixture_ops(V2_FIXTURE_OPS)`` on the process-per-shard
 #: ``parallel`` backend (``width=8, gc=True, shards=2``, shard servers
-#: in-process), as written by commit aa0ae04, the last to have that
-#: backend.  Its meta names ``parallel`` and its backend section has
-#: ``kind: "parallel"``; the state is ``ShardedDeltaNet``'s, so it
-#: restores as ``sharded``.
+#: in-process) plus a ``LoopProperty``, as written by commit aa0ae04, the
+#: last to have that backend.  Its meta names ``parallel`` and its
+#: backend section has ``kind: "parallel"``.
 PARALLEL_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                                 "session_parallel_v4.snap")
-#: The ``state_digest()`` the writing session reported.
-PARALLEL_FIXTURE_DIGEST = ("xorsum1:a8.f4ad68272ef40030.4036e6edf746cb10"
-                           ":46.ffeaf1cb67d73c3a.3a89e6ab60e0b262")
+#: The same session on the in-process ``sharded`` backend, as written by
+#: commit 0d279ad, the last to have that backend: ``dumps_session`` of
+#: ``VerificationSession("sharded", width=8, gc=True, shards=2,
+#: properties=(LoopProperty(),))`` fed ``v2_fixture_ops(V2_FIXTURE_OPS)``.
+SHARDED_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "session_sharded_v4.snap")
+LEGACY_FIXTURES = [("sharded", SHARDED_FIXTURE),
+                   ("parallel", PARALLEL_FIXTURE)]
+#: The ``state_digest()`` both writing sessions reported: the per-shard
+#: digests, combined.
+SHARDED_FIXTURE_DIGEST = ("xorsum1:a8.f4ad68272ef40030.4036e6edf746cb10"
+                          ":46.ffeaf1cb67d73c3a.3a89e6ab60e0b262")
 
 
-def sharded_fixture_session(count=V2_FIXTURE_OPS):
-    session = VerificationSession("sharded", width=8, gc=True, shards=2,
-                                  properties=(LoopProperty(),))
-    apply_ops(session, v2_fixture_ops(count))
-    return session
-
-
-def digest_rules_and_log(session):
-    return (session.state_digest(), session.rules(),
+def answers(session):
+    """Rules, delivered log and every query answer of ``session``: what
+    a restore must keep, whatever atom ids it rebuilds."""
+    nodes = [f"s{index}" for index in range(4)]
+    return (session.rules(),
             [(v.property_name, v.signature, v.detail)
-             for v in session.violations()])
+             for v in session.violations()],
+            {link: session.query(FlowsOn(link)).spans
+             for link in session.backend.links()},
+            sorted(map(repr, session.query(Loops()).violations)),
+            {(src, dst): session.query(Reachable(src, dst)).spans
+             for src in nodes for dst in nodes if src != dst})
 
 
-def assert_continues_like(restored, live, start):
-    assert digest_rules_and_log(restored) == digest_rules_and_log(live)
+def assert_answers_like(restored, live, start):
+    """Same answers as ``live``, and the same stream for 50 more ops."""
+    assert restored.backend_name == "deltanet"
+    assert answers(restored) == answers(live)
     suffix = v2_fixture_ops(start + 50)[start:]
     assert apply_ops(restored, suffix) == apply_ops(live, suffix)
-    assert digest_rules_and_log(restored) == digest_rules_and_log(live)
+    assert answers(restored) == answers(live)
     restored.check_invariants()
-    assert dumps_session(restored) == dumps_session(live)
+    blob = dumps_session(restored)
+    assert dumps_session(load_session(io.BytesIO(blob))) == blob
 
 
-def test_parallel_snapshot_restores_as_sharded():
-    sections = read_snapshot(PARALLEL_FIXTURE)
-    assert sections["meta"]["backend"] == "parallel"
-    assert sections["backend"]["kind"] == "parallel"
-    restored = load_session(PARALLEL_FIXTURE, verify=True)
-    assert restored.backend_name == "sharded"
+@pytest.mark.parametrize("name,fixture", LEGACY_FIXTURES,
+                         ids=[name for name, _ in LEGACY_FIXTURES])
+def test_sharded_snapshot_restores_as_deltanet(name, fixture):
+    sections = read_snapshot(fixture)
+    assert sections["meta"]["backend"] == name
+    assert sections["backend"]["kind"] == name
+    assert sections["integrity"]["digest"] == SHARDED_FIXTURE_DIGEST
+    # load_session checks the shards against the trailer digest.
+    restored = load_session(fixture, verify=True)
     assert restored.sequence == V2_FIXTURE_OPS
-    assert restored.state_digest() == PARALLEL_FIXTURE_DIGEST
     assert restored.num_rules == 78 and len(restored.violations()) == 14
-    assert_continues_like(restored, sharded_fixture_session(),
-                          V2_FIXTURE_OPS)
+    assert restored.native.gc
+    assert not load_session(fixture, gc=False).native.gc
+    assert_answers_like(restored, v2_fixture_session(), V2_FIXTURE_OPS)
 
 
-def test_parallel_store_recovers_as_sharded(tmp_path):
+@pytest.mark.parametrize("name,fixture", LEGACY_FIXTURES,
+                         ids=[name for name, _ in LEGACY_FIXTURES])
+def test_sharded_store_recovers_as_deltanet(tmp_path, name, fixture):
     from repro.datasets.format import Op
     from repro.persist.store import SessionStore
 
     store = SessionStore(str(tmp_path / "store"))
-    with open(PARALLEL_FIXTURE, "rb") as source, \
+    with open(fixture, "rb") as source, \
             open(store.snapshot_path, "wb") as target:
         target.write(source.read())
     end = V2_FIXTURE_OPS + 30
@@ -265,10 +281,34 @@ def test_parallel_store_recovers_as_sharded(tmp_path):
     store.close()
     session, info = SessionStore(str(tmp_path / "store")).recover(
         verify=True)
-    assert session.backend_name == "sharded"
     assert (info.snapshot_sequence, info.replayed, info.sequence) == (
         V2_FIXTURE_OPS, 30, end)
-    assert_continues_like(session, sharded_fixture_session(end), end)
+    assert_answers_like(session, v2_fixture_session(end), end)
+
+
+def test_sharded_snapshot_with_a_desynced_shard_is_refused(tmp_path):
+    """A shard label changed behind the trailer's back: every CRC holds
+    (the file is re-framed), the shards no longer digest to the trailer,
+    and the load refuses the store."""
+    from repro.core.deltanet import DeltaNet
+    from repro.faults.corruption import desync_label
+    from repro.integrity.digest import combine_digests
+
+    sections = read_snapshot(SHARDED_FIXTURE)
+    nets = sections["backend"]["native"]["nets"]
+    shard = DeltaNet.from_state(nets[1])
+    assert desync_label(shard)
+    nets[1]["labels"] = shard.state_dict()["labels"]
+    path = str(tmp_path / "desynced.snap")
+    with open(path, "wb") as stream:
+        write_snapshot(stream, sections.items())
+    assert read_snapshot(path)["integrity"]["digest"] \
+        == SHARDED_FIXTURE_DIGEST
+    assert combine_digests(DeltaNet.from_state(net).state_digest()
+                           for net in read_snapshot(path)["backend"]
+                           ["native"]["nets"]) != SHARDED_FIXTURE_DIGEST
+    with pytest.raises(SnapshotError, match="digest mismatch"):
+        load_session(path)
 
 
 def test_generic_backend_fallback_roundtrip():
@@ -328,7 +368,7 @@ def test_snapshot_info_reads_meta_only():
 
 
 def test_backend_overrides_apply_on_load():
-    session = VerificationSession("sharded", width=8, shards=2)
+    session = VerificationSession("veriflow", width=8)
     session.insert(session.make_rule(1, "0/2", 5, "a", "b"))
     restored = load_session(io.BytesIO(dumps_session(session)),
                             check_loops=False)

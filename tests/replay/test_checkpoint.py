@@ -23,7 +23,7 @@ def make_ops(seed=0x5EED, count=60):
     return ops
 
 
-@pytest.mark.parametrize("engine_name", ["deltanet", "sharded"])
+@pytest.mark.parametrize("engine_name", ["deltanet", "deltanet-gc"])
 @pytest.mark.parametrize("batch_size", [None, 7])
 def test_crash_resume_equals_uninterrupted(tmp_path, engine_name, batch_size):
     ops = make_ops()
@@ -81,7 +81,7 @@ def test_resume_without_checkpoint_fails(tmp_path):
 
 def test_resume_forwards_backend_overrides(tmp_path):
     state_dir = str(tmp_path / "ckpt")
-    engine = SessionEngine("sharded", width=8, shards=2,
+    engine = SessionEngine("deltanet", width=8, gc=True,
                            checkpoint_dir=state_dir)
     for op in make_ops(count=6)[:6]:
         engine.process(op)
@@ -89,8 +89,9 @@ def test_resume_forwards_backend_overrides(tmp_path):
     # The overrides reach the backend factory: one it lacks is refused.
     with pytest.raises(TypeError):
         SessionEngine.resume(state_dir, no_such_option=True)
-    resumed, _info = SessionEngine.resume(state_dir, shards=2)
-    assert resumed.session.backend_name == "sharded"
+    resumed, _info = SessionEngine.resume(state_dir, gc=True)
+    assert resumed.session.backend_name == "deltanet"
+    assert resumed.session.native.gc
     assert resumed.session.sequence == 6
     resumed.close()
 

@@ -96,10 +96,36 @@ class _LossyBackend(DeltaNetBackend):
         return super().loops_for_commit(updates, delta)[:-1]
 
 
+def test_rule_sweep_stops_at_the_rules_upper_bound():
+    """A minimized fuzz trace (``failover-storm`` seed 8144727, seed 101's
+    campaign) held to fixed answers rather than to the oracle.  With
+    ``AtomTable.atoms_in`` also returning the atom that starts at ``hi``,
+    rule 53 sweeps every atom above its own, so rule 54's packets find a
+    hop at node 1 and its black hole goes unreported.  The sweep oracle
+    runs the same core and agrees with that broken stream; the answers
+    below do not."""
+    rules = [Rule.forward(53, 837520384, 837521408, 22, 1, 0),
+             Rule.forward(54, 2996633856, 2996634112, 24, 2, 1)]
+    scenario = _scenario(
+        [Op.insert(rule) for rule in rules],
+        [PropertySpec.of("loops"),
+         PropertySpec.of("blackholes", expected_sinks=("p0", "p1", "p2"))])
+    run = replay_signatures(scenario, "deltanet")
+    assert run.error is None
+    assert run.delivered == [frozenset({("blackhole", 0)}),
+                             frozenset({("blackhole", 1)})]
+    from repro.api import VerificationSession
+
+    with VerificationSession("deltanet") as session:
+        for rule in rules:
+            session.insert(rule)
+            assert session.backend.flows_on(rule.link) == [(rule.lo, rule.hi)]
+
+
 class TestRunScenario:
     def test_agreement_on_healthy_backends(self):
         scenario = build_scenario("failover-storm", seed=6, scale=0.25)
-        report = run_scenario(scenario, ["deltanet", "sharded"])
+        report = run_scenario(scenario, ["deltanet", "veriflow"])
         assert report.ok
         assert "agrees" in report.describe()
 

@@ -147,7 +147,7 @@ class TestScenarioCommands:
     def test_scenario_run_agreeing_backends(self, tmp_path, capsys):
         save = str(tmp_path / "trace.ops")
         assert main(["scenario", "run", "table-fill", "--seed", "4",
-                     "--scale", "0.25", "--backends", "deltanet,sharded",
+                     "--scale", "0.25", "--backends", "deltanet,veriflow",
                      "--save", save]) == 0
         out = capsys.readouterr().out
         assert "agree with the sweep oracle" in out
@@ -211,7 +211,7 @@ class TestScenarioCommands:
 class TestFuzzCommand:
     def test_fuzz_small_budget(self, capsys):
         assert main(["fuzz", "--budget", "2", "--seed", "9",
-                     "--backends", "deltanet,sharded", "-q"]) == 0
+                     "--backends", "deltanet,veriflow", "-q"]) == 0
         out = capsys.readouterr().out
         assert "2/2 traces" in out and "OK" in out
 
