@@ -21,6 +21,7 @@ Absolute microseconds are machine-dependent and gated separately by
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
 
 import pytest
@@ -49,7 +50,17 @@ def _scenario(family: str, scale: float):
 @lru_cache(maxsize=None)
 def _mean_op_seconds(family: str, scale: float):
     scenario = _scenario(family, scale)
-    run = replay_signatures(scenario, "deltanet")
+    # As timeit does: collect first and keep the collector off while
+    # timing, so a full collection of heap other tests left behind is
+    # not billed to a run of a few hundred ops.
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run = replay_signatures(scenario, "deltanet")
+    finally:
+        if was_enabled:
+            gc.enable()
     assert run.error is None, run.error
     return run.seconds / max(1, scenario.num_ops), run
 

@@ -25,7 +25,7 @@ BACKENDS = [
     ("deltanet", {}),
     ("deltanet", {"gc": True}),
 ]
-BACKEND_IDS = ["deltanet", "deltanet-gc"]
+BACKEND_IDS = ["deltanet", "gc"]
 
 
 def build_ops(seed, count=30):
